@@ -246,6 +246,34 @@ TEST(RepairTest, CoveredAndUnrecoverablePartitionTheSubscribers) {
     EXPECT_EQ(out.covered.size(), out.covered_scenario.subscriber_count());
 }
 
+/// Every coverage RS dead: with patching off the repaired plan is empty
+/// (no RS, every SS unrecoverable); with patching on, the patched relays
+/// serve what they can. Either way the run completes and covered ∪
+/// unrecoverable partitions the subscribers.
+TEST(RepairTest, EveryCoverageRsDeadStillPartitionsTheSubscribers) {
+    const Deployed d = deploy(33, 25);
+    ASSERT_TRUE(d.result.feasible);
+    FailureSet f;
+    for (const ids::RsId rs : d.result.coverage.rs_ids()) f.coverage_down.push_back(rs);
+    for (const std::size_t max_new : {std::size_t{0}, std::size_t{8}}) {
+        RepairOptions opts;
+        opts.max_new_relays = max_new;
+        const RepairOutcome out = repair(d.scenario, d.result, f, opts);
+        std::set<std::size_t> seen;
+        for (const ids::SsId k : out.covered) seen.insert(k.index());
+        for (const ids::SsId k : out.unrecoverable) {
+            EXPECT_TRUE(seen.insert(k.index()).second) << "max_new " << max_new;
+        }
+        EXPECT_EQ(seen.size(), d.scenario.subscriber_count()) << "max_new " << max_new;
+        EXPECT_EQ(out.reassigned, 0u);
+        EXPECT_EQ(out.new_relays, max_new);
+        EXPECT_EQ(out.repaired.coverage_rs_count(), max_new);
+        EXPECT_EQ(out.covered.size(), max_new == 0 ? 0u : 16u);
+        EXPECT_TRUE(out.repaired.feasible);
+        EXPECT_NEAR(out.power_after, max_new == 0 ? 0.0 : 1124.583812, 1e-4);
+    }
+}
+
 /// Property, 20 seeds: repair must never reduce the covered set below
 /// what the damaged network could still serve — every subscriber that was
 /// NOT orphaned by the failures stays covered after repair.

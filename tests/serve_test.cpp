@@ -243,6 +243,45 @@ TEST(ServeSessionTest, RsFailureRepairsOrFlags) {
     }
 }
 
+/// Every coverage RS dead: with patching off each SS ends flagged and the
+/// plan is empty; with patching on the patched relays serve what they
+/// can. Either way the served and flagged keys partition the live SSs.
+TEST(ServeSessionTest, EveryCoverageRsDeadStillPartitionsTheSubscribers) {
+    const core::Scenario scenario = make_scenario(33, 25);
+    const core::SagResult deployment = core::solve_sag(scenario);
+    ASSERT_TRUE(deployment.feasible);
+    for (const std::size_t max_new : {std::size_t{0}, std::size_t{2}}) {
+        ServeOptions opts;
+        opts.max_new_relays_per_event = max_new;
+        opts.resolve_horizon = 1000;  // keep the re-solve out of the way
+        Session session(scenario, deployment, opts);
+        const std::size_t slots = session.pool_rs_count();
+        for (std::size_t slot = 0; slot < slots; ++slot) {
+            expect_contract(session.apply(rs_event(EventKind::RsFail, slot)));
+        }
+        const Session::Snapshot snap = session.snapshot();
+        std::vector<std::uint64_t> keys = session.unserved_keys();
+        keys.insert(keys.end(), snap.covered_keys.begin(), snap.covered_keys.end());
+        std::sort(keys.begin(), keys.end());
+        std::vector<std::uint64_t> live(scenario.subscriber_count());
+        for (std::size_t k = 0; k < live.size(); ++k) live[k] = k;
+        EXPECT_EQ(keys, live) << "max_new " << max_new;
+        EXPECT_TRUE(snap.verified) << "max_new " << max_new;
+        if (max_new == 0) {
+            EXPECT_EQ(session.unserved_count(), scenario.subscriber_count());
+            EXPECT_EQ(session.active_rs_count(), 0u);
+            EXPECT_EQ(snap.plan.rs_count(), 0u);
+            EXPECT_EQ(session.total_power(), 0.0);
+            EXPECT_TRUE(snap.degraded);
+        } else {
+            EXPECT_EQ(session.unserved_count(), 0u);
+            EXPECT_EQ(session.active_rs_count(), 17u);
+            EXPECT_NEAR(session.total_power(), 1314.353553, 1e-4);
+            EXPECT_FALSE(snap.degraded);
+        }
+    }
+}
+
 TEST(ServeSessionTest, DegradeThenRecoverRestoresHealth) {
     const core::Scenario scenario = make_scenario(17);
     Session session(scenario);
