@@ -7,8 +7,37 @@
 #include "sag/core/deployment.h"
 #include "sag/core/scenario.h"
 #include "sag/ids/ids.h"
+#include "sag/units/units.h"
 
 namespace sag::core {
+
+class SnrField;
+
+/// The lower-tier link test of eq. (3.4)/(3.5), one definition for every
+/// check that decides whether an RS serves a subscriber: the verifier,
+/// damage assessment, the repair kernel and placement. Each comparison
+/// is written `x <= bound` / `x >= bound`, so a NaN never passes.
+inline constexpr double kDistanceSlack = 1e-6;  ///< metres added to d_j
+inline constexpr double kRelativeSlack = 1e-9;  ///< rate and SNR bounds x (1 - this)
+
+/// d(s_j, rs) <= d_j, up to kDistanceSlack.
+inline bool within_reach(double distance, double request) {
+    return distance <= request + kDistanceSlack;
+}
+/// Received power >= P^j_ss, up to kRelativeSlack.
+inline bool meets_rate(units::Watt received, units::Watt required) {
+    return received >= required * (1.0 - kRelativeSlack);
+}
+/// SNR >= beta, up to kRelativeSlack.
+inline bool meets_snr(units::SnrRatio snr, units::SnrRatio beta) {
+    return snr >= beta * (1.0 - kRelativeSlack);
+}
+
+/// All three checks for RS `rs` of `field` serving tracked subscriber
+/// `k`, at rs's power in the field and against the field's interference
+/// totals. Short-circuits in the order distance, rate, SNR, so a link
+/// rejected on distance costs no path-loss evaluation.
+bool link_feasible(const SnrField& field, ids::RsId rs, ids::SsId k);
 
 /// Per-subscriber verdicts from the coverage verifier.
 struct SubscriberCheck {

@@ -53,6 +53,15 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
 PowerAllocation allocate_power_optimal(const Scenario& scenario,
                                        const CoveragePlan& plan);
 
+/// The same fixed point under per-RS caps (linear watts, one per plan
+/// RS; the two-argument form passes P_max for all). Here `feasible` only
+/// says the fixed point respects every cap: callers audit the powers
+/// with verify_coverage. Used by the repair kernel's power stage, where
+/// degraded RSs carry factor * P_max.
+PowerAllocation allocate_power_optimal(const Scenario& scenario,
+                                       const CoveragePlan& plan,
+                                       std::span<const double> caps);
+
 /// Same optimum computed by the dense-simplex LP solver instead of the
 /// fixed point — used to cross-check allocate_power_optimal in tests.
 PowerAllocation allocate_power_optimal_lp(const Scenario& scenario,

@@ -158,7 +158,7 @@ public:
     // --- Maintenance.
 
     /// Exact from-scratch rebuild of tracked slot k's total. Safe to call
-    /// concurrently for distinct k (used by sim::refresh_snr_field).
+    /// concurrently for distinct k.
     void recompute_subscriber(ids::SsId k);
     /// From-scratch rebuild of every tracked total (serial).
     void refresh();

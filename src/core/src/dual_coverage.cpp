@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "sag/core/feasibility.h"
 #include "sag/core/snr.h"
 #include "sag/core/snr_field.h"
 #include "sag/obs/obs.h"
@@ -126,9 +127,10 @@ bool verify_dual_coverage(const Scenario& scenario, const DualCoveragePlan& plan
             return false;
         const double dp = geom::distance(plan.rs_positions[p.index()], s.pos);
         const double ds = geom::distance(plan.rs_positions[q.index()], s.pos);
-        if (dp > s.distance_request + 1e-6 || ds > s.distance_request + 1e-6)
+        if (!within_reach(dp, s.distance_request) ||
+            !within_reach(ds, s.distance_request))
             return false;
-        if (dp > ds + 1e-6) return false;  // primary must be the nearer one
+        if (!within_reach(dp, ds)) return false;  // primary must be the nearer one
     }
     const SnrField field = SnrField::at_max_power(scenario, plan.rs_positions);
     return field.all_meet_threshold(plan.primary, 1e-9);

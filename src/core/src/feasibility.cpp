@@ -10,6 +10,17 @@
 
 namespace sag::core {
 
+bool link_feasible(const SnrField& field, ids::RsId rs, ids::SsId k) {
+    const Scenario& scenario = field.scenario();
+    const ids::SsId j = field.tracked_subscriber(k);
+    const Subscriber& s = scenario.subscriber(j);
+    const geom::Vec2& pos = field.rs_position(rs);
+    return within_reach(geom::distance(pos, s.pos), s.distance_request) &&
+           meets_rate(scenario.received_power(field.rs_power(rs), pos, s.pos),
+                      scenario.min_rx_power(j)) &&
+           meets_snr(units::SnrRatio{field.snr_of(k, rs)}, scenario.snr_threshold());
+}
+
 CoverageReport verify_coverage(const Scenario& scenario, const CoveragePlan& plan,
                                std::span<const double> powers) {
     CoverageReport report;
@@ -33,7 +44,7 @@ CoverageReport verify_coverage(const Scenario& scenario, const CoveragePlan& pla
     // Batch audit off one interference field: the totals are computed once
     // and every subscriber's SNR is an O(1) read.
     const SnrField field(scenario, plan.rs_positions, powers);
-    const double beta = scenario.snr_threshold_linear();
+    const units::SnrRatio beta = scenario.snr_threshold();
 
     for (const ids::SsId j : scenario.ss_ids()) {
         const Subscriber& s = scenario.subscriber(j);
@@ -41,12 +52,12 @@ CoverageReport verify_coverage(const Scenario& scenario, const CoveragePlan& pla
         check.serving_rs = plan.assignment[j];
         const geom::Vec2& rs = plan.rs_position(check.serving_rs);
         check.access_distance = geom::distance(rs, s.pos);
-        check.distance_ok = check.access_distance <= s.distance_request + 1e-6;
+        check.distance_ok = within_reach(check.access_distance, s.distance_request);
         const units::Watt rx = scenario.received_power(
             units::Watt{powers[check.serving_rs.index()]}, rs, s.pos);
-        check.rate_ok = rx >= scenario.min_rx_power(j) * (1.0 - 1e-9);
+        check.rate_ok = meets_rate(rx, scenario.min_rx_power(j));
         const double snr = field.snr_of(j, check.serving_rs);
-        check.snr_ok = snr >= beta * (1.0 - 1e-9);
+        check.snr_ok = meets_snr(units::SnrRatio{snr}, beta);
         check.snr_db = std::isfinite(snr)
                            ? units::to_db(units::SnrRatio{snr}).db()
                            : std::numeric_limits<double>::infinity();
@@ -138,7 +149,7 @@ ConnectivityReport verify_connectivity(const Scenario& scenario,
     for (std::size_t v = 0; v < n; ++v) {
         if (plan.parent[v] == v) continue;
         const double hop = geom::distance(plan.positions[v], plan.positions[plan.parent[v]]);
-        if (hop > allowed[v] + 1e-6) {
+        if (!within_reach(hop, allowed[v])) {
             report.hops_ok = false;
             ++report.violations;
             detail << "hop " << v << "->" << plan.parent[v] << " length " << hop

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "sag/core/feasibility.h"
 #include "sag/core/snr.h"
 #include "sag/core/snr_field.h"
 #include "sag/obs/obs.h"
@@ -62,14 +63,14 @@ bool allocation_feasible(const Scenario& scenario, const CoveragePlan& plan,
                          std::span<const double> powers) {
     const auto snrs =
         coverage_snrs(scenario, plan.rs_positions, powers, plan.assignment);
-    const double beta = scenario.snr_threshold_linear();
+    const units::SnrRatio beta = scenario.snr_threshold();
     for (const ids::SsId j : scenario.ss_ids()) {
         const ids::RsId i = plan.assignment[j];
         const units::Watt rx = scenario.received_power(
             units::Watt{powers[i.index()]}, plan.rs_position(i),
             scenario.subscriber(j).pos);
-        if (rx < scenario.min_rx_power(j) * (1.0 - 1e-9)) return false;
-        if (snrs[j.index()] < beta * (1.0 - 1e-9)) return false;
+        if (!meets_rate(rx, scenario.min_rx_power(j))) return false;
+        if (!meets_snr(units::SnrRatio{snrs[j.index()]}, beta)) return false;
     }
     return true;
 }
@@ -214,11 +215,20 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
 
 PowerAllocation allocate_power_optimal(const Scenario& scenario,
                                        const CoveragePlan& plan) {
+    const std::vector<double> caps(plan.rs_count(), scenario.rs_max_power().watts());
+    PowerAllocation out = allocate_power_optimal(scenario, plan, caps);
+    out.feasible = out.feasible && allocation_feasible(scenario, plan, out.powers);
+    return out;
+}
+
+PowerAllocation allocate_power_optimal(const Scenario& scenario,
+                                       const CoveragePlan& plan,
+                                       std::span<const double> caps) {
     PowerAllocation out;
     const std::size_t n = plan.rs_count();
     const auto g = gain_matrix(scenario, plan);
 
-    std::vector<double> floors(n), caps(n, scenario.rs_max_power().watts());
+    std::vector<double> floors(n);
     for (const ids::RsId i : plan.rs_ids()) {
         floors[i.index()] = coverage_power_floor(scenario, plan, i).watts();
     }
@@ -235,7 +245,7 @@ PowerAllocation allocate_power_optimal(const Scenario& scenario,
     out.powers = result.powers;
     out.total = std::accumulate(out.powers.begin(), out.powers.end(), 0.0);
     out.iterations = result.iterations;
-    out.feasible = result.feasible && allocation_feasible(scenario, plan, out.powers);
+    out.feasible = result.feasible;
     return out;
 }
 

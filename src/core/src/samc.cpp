@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 
+#include "sag/core/feasibility.h"
 #include "sag/core/snr.h"
 #include "sag/core/snr_field.h"
 #include "sag/core/zone_partition.h"
@@ -30,8 +31,8 @@ ZoneAssignment coverage_link_escape(const Scenario& scenario,
     for (const ids::RsId p : ids::first_ids<ids::RsId>(points.size())) {
         for (std::size_t k = 0; k < subs.size(); ++k) {
             const Subscriber& s = scenario.subscriber(subs[k]);
-            if (geom::distance(points[p.index()], s.pos) <=
-                s.distance_request + 1e-6) {
+            if (within_reach(geom::distance(points[p.index()], s.pos),
+                             s.distance_request)) {
                 covers[p].push_back(ids::SsId{k});
             }
         }
@@ -203,7 +204,7 @@ SlideResult sliding_movement(const Scenario& scenario,
             double best_dist = geom::distance(st.point(best), sub.pos);
             for (const ids::RsId p : st.field.rs_ids()) {
                 const double d = geom::distance(st.point(p), sub.pos);
-                if (d <= sub.distance_request + 1e-6 && d < best_dist - 1e-9) {
+                if (within_reach(d, sub.distance_request) && d < best_dist - 1e-9) {
                     best = p;
                     best_dist = d;
                 }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "sag/core/feasibility.h"
 #include "sag/core/snr.h"
 #include "sag/obs/obs.h"
 #include "sag/wireless/kernel_eval.h"
@@ -203,7 +204,7 @@ std::vector<ids::SsId> SnrField::violated(
         const ids::RsId rs = serving[k];
         const double d =
             geom::distance(rs_pos_[rs.index()], sub_pos(k.index()));
-        if (d > sub_reach_[k.index()] + 1e-6 ||
+        if (!within_reach(d, sub_reach_[k.index()]) ||
             snr_of(k, rs) < beta * (1.0 - 1e-12)) {
             bad.push_back(k);
         }

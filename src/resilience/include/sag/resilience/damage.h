@@ -43,14 +43,13 @@ struct DamageReport {
 /// The lower-tier interference field after the failures: built from the
 /// intact deployment, then mutated with one set_power delta per failed
 /// or degraded RS. Dead RSs stay in the field at zero power so RsId
-/// addressing (and the SsId->RsId assignment) stays stable; repair
-/// continues mutating this same field.
+/// addressing (and the SsId->RsId assignment) stays stable.
 core::SnrField damaged_field(const core::Scenario& scenario,
                              const core::SagResult& deployment,
                              const FailureSet& failures);
 
-/// Assess against a field already holding the post-failure powers (the
-/// damaged_field output, possibly further mutated by earlier repairs).
+/// Assess against a field over the deployment's coverage RSs already
+/// holding the post-failure powers (the damaged_field output).
 DamageReport assess_damage(const core::Scenario& scenario,
                            const core::SagResult& deployment,
                            const FailureSet& failures,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sag/core/feasibility.h"
 #include "sag/obs/obs.h"
 
 namespace sag::resilience {
@@ -54,30 +55,17 @@ DamageReport assess_damage(const core::Scenario& scenario,
     report.dead_coverage_rs = failures.coverage_down.size();
     report.dead_connectivity_rs = failures.connectivity_down.size();
 
-    // Lower tier: replay the verifier's per-subscriber checks against the
-    // post-failure field (same tolerances as verify_coverage). A dead
-    // server fails the rate check at zero power, but test it explicitly
-    // so the report is meaningful even for SSs with zero rate demand.
-    const double beta = scenario.snr_threshold_linear();
+    // Lower tier: the verifier's per-subscriber link test against the
+    // post-failure field. A dead server fails the rate check at zero
+    // power, but test it explicitly so the report is meaningful even for
+    // SSs with zero rate demand.
     const auto& plan = deployment.coverage;
     for (const ids::SsId j : scenario.ss_ids()) {
         const ids::RsId serving = plan.assignment[j];
-        if (!serving.valid() || serving.index() >= plan.rs_count()) {
+        if (!serving.valid() || serving.index() >= plan.rs_count() ||
+            is_dead(failures, serving) || !core::link_feasible(field, serving, j)) {
             report.orphaned.push_back(j);
-            continue;
         }
-        const core::Subscriber& s = scenario.subscriber(j);
-        const double power = field.rs_power(serving).watts();
-        const double dist = geom::distance(plan.rs_position(serving), s.pos);
-        bool ok = is_dead(failures, serving) == false;
-        ok = ok && dist <= s.distance_request + 1e-6;
-        if (ok) {
-            const units::Watt rx = scenario.received_power(
-                units::Watt{power}, plan.rs_position(serving), s.pos);
-            ok = rx >= scenario.min_rx_power(j) * (1.0 - 1e-9);
-        }
-        ok = ok && field.snr_of(j, serving) >= beta * (1.0 - 1e-9);
-        if (!ok) report.orphaned.push_back(j);
     }
 
     // Upper tier: parent-chain walk with the dead nodes masked out. A

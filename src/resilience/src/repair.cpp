@@ -1,70 +1,212 @@
 #include "sag/resilience/repair.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 
 #include "sag/core/candidates.h"
 #include "sag/core/feasibility.h"
-#include "sag/core/power.h"
-#include "sag/core/snr_field.h"
 #include "sag/core/ucra.h"
 #include "sag/obs/obs.h"
-#include "sag/opt/power_control.h"
 
 namespace sag::resilience {
 
-namespace {
+RepairState::RepairState(const core::Scenario& scenario,
+                         std::span<const geom::Vec2> positions,
+                         std::span<const double> caps)
+    : field(scenario, positions, caps),
+      dead(positions.size(), false),
+      server(scenario.subscriber_count(), kUnserved),
+      placed(scenario.subscriber_count(), false) {}
 
-/// Working RS pool: surviving coverage RSs (compacted) plus any patched
-/// relays, each with its post-failure power cap (P_max, or factor *
-/// P_max for degraded survivors).
-struct RsPool {
-    std::vector<geom::Vec2> positions;
-    std::vector<double> caps;  ///< linear watts
-};
-
-/// Per-original-SS repair state. `server` indexes RsPool; an invalid
-/// value means the SS is (still) unserved.
-struct SsState {
-    std::size_t server = kUnserved;
-    bool newly_added = false;  ///< coverage created by this repair run
-    static constexpr std::size_t kUnserved = static_cast<std::size_t>(-1);
-};
-
-/// Can RS `rs` of the pool serve subscriber j at its cap? Distance,
-/// data-rate (at the cap), and SNR against the field's current totals —
-/// the same three checks verify_coverage applies, at placement-phase
-/// optimism (everyone at their cap).
-bool can_serve(const core::Scenario& scenario, const core::SnrField& field,
-               const RsPool& pool, std::size_t rs, ids::SsId j) {
-    const core::Subscriber& s = scenario.subscriber(j);
-    const double dist = geom::distance(pool.positions[rs], s.pos);
-    if (dist > s.distance_request + 1e-6) return false;
-    const units::Watt rx = scenario.received_power(
-        units::Watt{pool.caps[rs]}, pool.positions[rs], s.pos);
-    if (rx < scenario.min_rx_power(j) * (1.0 - 1e-9)) return false;
-    const double beta = scenario.snr_threshold_linear();
-    return field.snr_of(j, ids::RsId{rs}) >= beta * (1.0 - 1e-9);
+bool RepairState::link_ok(std::size_t slot, std::size_t ss) const {
+    return !dead[slot] && core::link_feasible(field, ids::RsId{slot}, ids::SsId{ss});
 }
 
-/// Per-link path gains pool-RS x covered-SS for the fixed-point stage,
-/// under the scenario's propagation model (kernel resolved once).
-std::vector<std::vector<double>> gain_matrix(const core::Scenario& scenario,
-                                             const std::vector<geom::Vec2>& rs_pos,
-                                             const std::vector<ids::SsId>& subs) {
-    const wireless::GainKernel kernel = scenario.gain_kernel();
-    std::vector<std::vector<double>> g(rs_pos.size(),
-                                       std::vector<double>(subs.size()));
-    for (std::size_t i = 0; i < rs_pos.size(); ++i) {
-        for (std::size_t k = 0; k < subs.size(); ++k) {
-            const geom::Vec2& ss = scenario.subscriber(subs[k]).pos;
-            g[i][k] = kernel.gain(rs_pos[i], ss, geom::distance(rs_pos[i], ss));
+void RepairState::assign(std::size_t ss, std::size_t slot) {
+    server[ss] = slot;
+    placed[ss] = true;
+}
+
+std::vector<std::size_t> RepairState::unserved() const {
+    std::vector<std::size_t> out;
+    for (std::size_t k = 0; k < server.size(); ++k) {
+        if (server[k] == kUnserved) out.push_back(k);
+    }
+    return out;
+}
+
+std::vector<std::size_t> active_slots(const RepairState& state) {
+    std::vector<bool> loaded(state.slot_count(), false);
+    for (const std::size_t s : state.server) {
+        if (s != RepairState::kUnserved) loaded[s] = true;
+    }
+    std::vector<std::size_t> active;
+    for (std::size_t r = 0; r < loaded.size(); ++r) {
+        assert(!(state.dead[r] && loaded[r]) &&
+               "dead slot with load: callers must unassign it first");
+        if (loaded[r] && !state.dead[r]) active.push_back(r);
+    }
+    return active;
+}
+
+RepairView build_view(const RepairState& state) {
+    const core::Scenario& scenario = state.scenario();
+    RepairView v;
+    v.active = active_slots(state);
+    std::vector<std::size_t> slot_to_plan(state.slot_count(), RepairState::kUnserved);
+    for (const std::size_t r : v.active) {
+        slot_to_plan[r] = v.plan.rs_positions.size();
+        v.plan.rs_positions.push_back(state.field.rs_position(ids::RsId{r}));
+        v.caps.push_back(state.field.rs_power(ids::RsId{r}).watts());
+    }
+    v.covered_scenario = scenario;
+    v.covered_scenario.subscribers.clear();
+    for (std::size_t k = 0; k < state.server.size(); ++k) {
+        if (state.server[k] == RepairState::kUnserved) continue;
+        v.covered.push_back(k);
+        v.covered_scenario.subscribers.push_back(scenario.subscribers[k]);
+    }
+    v.plan.assignment.resize(v.covered.size());
+    for (std::size_t c = 0; c < v.covered.size(); ++c) {
+        v.plan.assignment[ids::SsId{c}] =
+            ids::RsId{slot_to_plan[state.server[v.covered[c]]]};
+    }
+    v.plan.feasible = true;
+    return v;
+}
+
+std::size_t rehome(RepairState& state, std::span<const std::size_t> subscribers) {
+    std::size_t placed = 0;
+    std::vector<std::size_t> order(state.slot_count());
+    for (const std::size_t k : subscribers) {
+        const geom::Vec2& sp = state.scenario().subscribers[k].pos;
+        const auto dist_sq = [&](std::size_t slot) {
+            return geom::distance_sq(state.field.rs_position(ids::RsId{slot}), sp);
+        };
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+            const double da = dist_sq(a);
+            const double db = dist_sq(b);
+            return da != db ? da < db : a < b;
+        });
+        for (const std::size_t slot : order) {
+            if (!state.link_ok(slot, k)) continue;
+            state.assign(k, slot);
+            ++placed;
+            break;
         }
     }
-    return g;
+    return placed;
 }
 
-}  // namespace
+std::size_t patch(RepairState& state, std::size_t max_new_relays) {
+    std::vector<std::size_t> unreached = state.unserved();
+    if (unreached.empty() || max_new_relays == 0) return 0;
+    const core::Scenario& scenario = state.scenario();
+
+    core::Scenario orphan_view = scenario;
+    orphan_view.subscribers.clear();
+    for (const std::size_t k : unreached) {
+        orphan_view.subscribers.push_back(scenario.subscribers[k]);
+    }
+    std::vector<geom::Vec2> cands = core::prune_useless_candidates(
+        orphan_view, core::iac_candidates(orphan_view));
+    // A candidate can coincide with an alive pool RS (the plan drew from
+    // the same IAC pool); co-located transmitters are degenerate, drop
+    // them. Dead slots are vacated sites and stay available.
+    std::erase_if(cands, [&](const geom::Vec2& c) {
+        for (std::size_t r = 0; r < state.slot_count(); ++r) {
+            if (!state.dead[r] && state.field.rs_position(ids::RsId{r}) == c) {
+                return true;
+            }
+        }
+        return false;
+    });
+
+    const units::Watt p_max = scenario.rs_max_power();
+    std::size_t added = 0;
+    while (!unreached.empty() && added < max_new_relays && !cands.empty()) {
+        // The candidate whose P_max relay would serve the most unreached
+        // SSs, probed via a rolled-back add_rs delta so the field never
+        // keeps uncommitted interference.
+        std::size_t best_cand = cands.size();
+        std::size_t best_count = 0;
+        for (std::size_t c = 0; c < cands.size(); ++c) {
+            core::SnrField::Transaction probe(state.field);
+            const ids::RsId trial = state.field.add_rs(cands[c], p_max);
+            std::size_t count = 0;
+            for (const std::size_t k : unreached) {
+                if (core::link_feasible(state.field, trial, ids::SsId{k})) ++count;
+            }
+            if (count > best_count) {
+                best_count = count;
+                best_cand = c;
+            }
+        }
+        if (best_count == 0) break;  // nobody reachable: stop patching
+
+        const geom::Vec2 site = cands[best_cand];
+        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best_cand));
+        const std::size_t slot = state.field.add_rs(site, p_max).index();
+        state.dead.push_back(false);
+        ++added;
+        std::vector<std::size_t> still;
+        for (const std::size_t k : unreached) {
+            if (state.link_ok(slot, k)) {
+                state.assign(k, slot);
+            } else {
+                still.push_back(k);
+            }
+        }
+        unreached = std::move(still);
+    }
+    return added;
+}
+
+PowerStage reallocate_power(RepairState& state, int max_rounds) {
+    // Yesterday's served SSs (the ones not placed by this run) are a
+    // feasible witness below the caps, so the fixed point lands once
+    // every placed SS that breaks it has been shed.
+    PowerStage out;
+    const int rounds = std::max(1, max_rounds);
+    while (true) {
+        out.view = build_view(state);
+        const RepairView& v = out.view;
+        out.lower = core::allocate_power_optimal(v.covered_scenario, v.plan, v.caps);
+        ++out.rounds;
+        const core::CoverageReport report =
+            core::verify_coverage(v.covered_scenario, v.plan, out.lower.powers);
+        out.lower.feasible = report.feasible;
+        if (report.feasible) break;
+
+        // Shed the placed SSs that failed verification; if only the
+        // others fail (a placement's interference squeezed them), shed
+        // every placed SS instead.
+        std::vector<std::size_t> shed;
+        for (std::size_t c = 0; c < v.covered.size(); ++c) {
+            const auto& check = report.subscribers[ids::SsId{c}];
+            const bool ok = check.distance_ok && check.rate_ok && check.snr_ok;
+            if (!ok && state.placed[v.covered[c]]) shed.push_back(v.covered[c]);
+        }
+        if (shed.empty()) {
+            for (const std::size_t k : v.covered) {
+                if (state.placed[k]) shed.push_back(k);
+            }
+        }
+        if (shed.empty()) break;  // only the others fail: nothing to shed
+        for (const std::size_t k : shed) state.server[k] = RepairState::kUnserved;
+        out.shed.insert(out.shed.end(), shed.begin(), shed.end());
+        if (out.rounds == rounds) break;
+    }
+    return out;
+}
+
+core::ConnectivityPlan rebuild_backhaul(const RepairView& view) {
+    core::ConnectivityPlan conn = core::solve_mbmc(view.covered_scenario, view.plan);
+    core::allocate_power_ucpo(view.covered_scenario, view.plan, conn);
+    return conn;
+}
 
 RepairOutcome repair(const core::Scenario& scenario,
                      const core::SagResult& deployment,
@@ -76,266 +218,80 @@ RepairOutcome repair(const core::Scenario& scenario,
     const DamageReport damage = assess_damage(scenario, deployment, failures);
     const double p_max = scenario.rs_max_power().watts();
 
-    // --- Build the surviving pool: compact out the dead coverage RSs and
-    // record each survivor's cap.
-    std::vector<bool> dead(deployment.coverage.rs_count(), false);
-    for (ids::RsId rs : failures.coverage_down) dead[rs.index()] = true;
-    std::vector<double> cap_of(deployment.coverage.rs_count(), p_max);
+    // The surviving pool: the dead coverage RSs compacted out, each
+    // survivor at its post-failure cap.
+    const std::size_t old_count = deployment.coverage.rs_count();
+    std::vector<bool> dead(old_count, false);
+    for (const ids::RsId rs : failures.coverage_down) dead[rs.index()] = true;
+    std::vector<double> cap_of(old_count, p_max);
     for (const Degradation& d : failures.degraded)
         cap_of[d.rs.index()] = std::min(cap_of[d.rs.index()], d.factor * p_max);
-
-    RsPool pool;
-    std::vector<std::size_t> old_to_pool(deployment.coverage.rs_count(),
-                                         SsState::kUnserved);
-    for (ids::RsId rs : deployment.coverage.rs_ids()) {
+    std::vector<geom::Vec2> positions;
+    std::vector<double> caps;
+    std::vector<std::size_t> old_to_pool(old_count, RepairState::kUnserved);
+    for (const ids::RsId rs : deployment.coverage.rs_ids()) {
         if (dead[rs.index()]) continue;
-        old_to_pool[rs.index()] = pool.positions.size();
-        pool.positions.push_back(deployment.coverage.rs_position(rs));
-        pool.caps.push_back(cap_of[rs.index()]);
+        old_to_pool[rs.index()] = positions.size();
+        positions.push_back(deployment.coverage.rs_position(rs));
+        caps.push_back(cap_of[rs.index()]);
     }
+    RepairState state(scenario, positions, caps);
 
-    // --- Initial SS state: survivors keep their (remapped) server;
-    // orphans start unserved.
+    // Survivors keep their (remapped) server; orphans start unserved.
     std::vector<bool> orphaned(scenario.subscriber_count(), false);
-    for (ids::SsId j : damage.orphaned) orphaned[j.index()] = true;
-    std::vector<SsState> state(scenario.subscriber_count());
-    for (ids::SsId j : scenario.ss_ids()) {
+    std::vector<std::size_t> orphans;
+    for (const ids::SsId j : damage.orphaned) {
+        orphaned[j.index()] = true;
+        orphans.push_back(j.index());
+    }
+    for (const ids::SsId j : scenario.ss_ids()) {
         if (orphaned[j.index()]) continue;
-        const ids::RsId old_rs = deployment.coverage.assignment[j];
-        state[j.index()].server = old_to_pool[old_rs.index()];
+        state.server[j.index()] =
+            old_to_pool[deployment.coverage.assignment[j].index()];
     }
 
-    // Probe field: the surviving pool at its caps (placement-phase
-    // optimism, exactly like LCRA's at-max-power assumption).
-    core::SnrField field(scenario, pool.positions, pool.caps);
-
-    // --- Stage 1: reassign orphans onto surviving RSs, nearest-first,
-    // accepting the first RS that clears all three checks. O(1) SNR
-    // reads off the field's cached totals; no mutation yet.
-    std::vector<ids::SsId> unreached;
     {
         SAG_OBS_SPAN("resilience.repair.reassign");
-        std::vector<std::size_t> order(pool.positions.size());
-        for (ids::SsId j : damage.orphaned) {
-            const geom::Vec2& sp = scenario.subscriber(j).pos;
-            std::iota(order.begin(), order.end(), std::size_t{0});
-            std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-                return geom::distance_sq(pool.positions[a], sp) <
-                       geom::distance_sq(pool.positions[b], sp);
-            });
-            bool placed = false;
-            for (std::size_t rs : order) {
-                if (!can_serve(scenario, field, pool, rs, j)) continue;
-                state[j.index()] = {rs, true};
-                ++out.reassigned;
-                placed = true;
-                break;
-            }
-            if (!placed) unreached.push_back(j);
-        }
+        out.reassigned = rehome(state, orphans);
         SAG_OBS_COUNT_ADD("resilience.reassigned_ss", out.reassigned);
     }
-
-    // --- Stage 2: patch new relays for the unreached orphans from the
-    // IAC candidate pool of exactly those subscribers. Greedy max
-    // coverage; every accepted relay is committed into the field (at
-    // P_max) so later SNR probes see its interference.
-    if (!unreached.empty() && options.max_new_relays > 0) {
+    if (out.reassigned < orphans.size() && options.max_new_relays > 0) {
         SAG_OBS_SPAN("resilience.repair.patch");
-        core::Scenario orphan_view = scenario;
-        orphan_view.subscribers.clear();
-        for (ids::SsId j : unreached)
-            orphan_view.subscribers.push_back(scenario.subscriber(j));
-        std::vector<geom::Vec2> cands = core::prune_useless_candidates(
-            orphan_view, core::iac_candidates(orphan_view));
-        // The original plan drew from the same IAC pool, so a candidate
-        // can coincide with a surviving (possibly degraded) RS site.
-        // Drop those: co-located transmitters have identical path gains
-        // to every SS, and a plan must keep its positions unique.
-        std::erase_if(cands, [&](const geom::Vec2& c) {
-            return std::any_of(pool.positions.begin(), pool.positions.end(),
-                               [&](const geom::Vec2& p) { return p == c; });
-        });
-
-        while (!unreached.empty() && out.new_relays < options.max_new_relays &&
-               !cands.empty()) {
-            // Pick the candidate whose P_max relay would serve the most
-            // still-unreached orphans, probing each via a rolled-back
-            // add_rs delta.
-            std::size_t best_cand = cands.size();
-            std::size_t best_count = 0;
-            for (std::size_t c = 0; c < cands.size(); ++c) {
-                core::SnrField::Transaction probe(field);
-                const ids::RsId trial = field.add_rs(cands[c], units::Watt{p_max});
-                RsPool trial_pool = pool;
-                trial_pool.positions.push_back(cands[c]);
-                trial_pool.caps.push_back(p_max);
-                std::size_t count = 0;
-                for (ids::SsId j : unreached) {
-                    if (can_serve(scenario, field, trial_pool, trial.index(), j))
-                        ++count;
-                }
-                if (count > best_count) {
-                    best_count = count;
-                    best_cand = c;
-                }
-            }
-            if (best_count == 0) break;  // nobody reachable: stop patching
-
-            const geom::Vec2 site = cands[best_cand];
-            cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best_cand));
-            const ids::RsId added = field.add_rs(site, units::Watt{p_max});
-            pool.positions.push_back(site);
-            pool.caps.push_back(p_max);
-            ++out.new_relays;
-            std::vector<ids::SsId> still;
-            for (ids::SsId j : unreached) {
-                if (can_serve(scenario, field, pool, added.index(), j)) {
-                    state[j.index()] = {added.index(), true};
-                } else {
-                    still.push_back(j);
-                }
-            }
-            unreached = std::move(still);
-        }
+        out.new_relays = patch(state, options.max_new_relays);
         SAG_OBS_COUNT_ADD("resilience.new_relays", out.new_relays);
     }
-    for (ids::SsId j : unreached) out.unrecoverable.push_back(j);
+    for (const std::size_t k : state.unserved()) {
+        out.unrecoverable.push_back(ids::SsId{k});
+    }
 
-    // The first pool.positions entries that came from the survivors are
-    // always kept; patched relays and zero-load survivors are pruned per
-    // round when nobody ends up served by them.
-    const auto build_plans = [&]() {
-        // Covered subscribers, ascending original SsId.
-        out.covered.clear();
-        for (ids::SsId j : scenario.ss_ids())
-            if (state[j.index()].server != SsState::kUnserved)
-                out.covered.push_back(j);
-
-        out.covered_scenario = scenario;
-        out.covered_scenario.subscribers.clear();
-        for (ids::SsId j : out.covered)
-            out.covered_scenario.subscribers.push_back(scenario.subscriber(j));
-
-        // Active pool RSs = those serving at least one covered SS.
-        std::vector<std::size_t> load(pool.positions.size(), 0);
-        for (ids::SsId j : out.covered) ++load[state[j.index()].server];
-        std::vector<std::size_t> pool_to_plan(pool.positions.size(),
-                                              SsState::kUnserved);
-        core::CoveragePlan plan;
-        std::vector<double> caps;
-        for (std::size_t r = 0; r < pool.positions.size(); ++r) {
-            if (load[r] == 0) continue;
-            pool_to_plan[r] = plan.rs_positions.size();
-            plan.rs_positions.push_back(pool.positions[r]);
-            caps.push_back(pool.caps[r]);
-        }
-        plan.assignment.resize(out.covered.size());
-        for (std::size_t k = 0; k < out.covered.size(); ++k) {
-            plan.assignment[ids::SsId{k}] =
-                ids::RsId{pool_to_plan[state[out.covered[k].index()].server]};
-        }
-        plan.feasible = true;
-        return std::pair{std::move(plan), std::move(caps)};
-    };
-
-    // --- Stage 3: power re-escalation rounds. The surviving core (the
-    // originally covered SSs at the damaged powers) is a feasible witness
-    // below the caps, so the Yates fixed point is guaranteed to land
-    // once every newly-added SS that breaks it has been shed.
-    core::CoveragePlan plan;
-    core::PowerAllocation lower;
-    core::CoverageReport cov_report;
+    PowerStage power;
     {
         SAG_OBS_SPAN("resilience.repair.power");
-        const int max_rounds = std::max(1, options.max_rounds);
-        for (out.rounds = 1; out.rounds <= max_rounds; ++out.rounds) {
-            auto [round_plan, caps] = build_plans();
-            plan = std::move(round_plan);
-
-            std::vector<double> floors(plan.rs_count(), 0.0);
-            for (ids::RsId i : plan.rs_ids()) {
-                floors[i.index()] = std::min(
-                    core::coverage_power_floor(out.covered_scenario, plan, i)
-                        .watts(),
-                    caps[i.index()]);
-            }
-            const auto g = gain_matrix(out.covered_scenario, plan.rs_positions,
-                                       out.covered);
-            const units::SnrRatio beta = out.covered_scenario.snr_threshold();
-            const auto result = opt::fixed_point_power_control(
-                floors, caps,
-                [&](std::size_t i, std::span<const double> powers) {
-                    units::Watt need{0.0};
-                    for (std::size_t k = 0; k < out.covered.size(); ++k) {
-                        if (plan.assignment[ids::SsId{k}] != ids::RsId{i}) continue;
-                        units::Watt interference =
-                            out.covered_scenario.radio.snr_ambient_noise;
-                        for (std::size_t m = 0; m < plan.rs_count(); ++m) {
-                            if (m != i)
-                                interference += units::Watt{powers[m] * g[m][k]};
-                        }
-                        need = std::max(need, beta * interference / g[i][k]);
-                    }
-                    return need.watts();
-                });
-
-            lower.powers = result.powers;
-            lower.total = std::accumulate(lower.powers.begin(),
-                                          lower.powers.end(), 0.0);
-            lower.iterations = result.iterations;
-            cov_report =
-                core::verify_coverage(out.covered_scenario, plan, lower.powers);
-            lower.feasible = cov_report.feasible;
-            if (cov_report.feasible) break;
-
-            // Shed the newly-added SSs that failed verification; if only
-            // original survivors are violated (a patched relay's
-            // interference squeezed them), shed every newly-added SS
-            // instead — the surviving core is the feasible fallback.
-            std::vector<ids::SsId> shed;
-            for (std::size_t k = 0; k < out.covered.size(); ++k) {
-                const auto& check = cov_report.subscribers[ids::SsId{k}];
-                const ids::SsId orig = out.covered[k];
-                if (!check.distance_ok || !check.rate_ok || !check.snr_ok) {
-                    if (state[orig.index()].newly_added) shed.push_back(orig);
-                }
-            }
-            if (shed.empty()) {
-                for (ids::SsId j : scenario.ss_ids())
-                    if (state[j.index()].newly_added &&
-                        state[j.index()].server != SsState::kUnserved)
-                        shed.push_back(j);
-            }
-            if (shed.empty()) break;  // survivors-only and still failing: give up
-            for (ids::SsId j : shed) {
-                state[j.index()].server = SsState::kUnserved;
-                out.unrecoverable.push_back(j);
-            }
+        power = reallocate_power(state, options.max_rounds);
+        for (const std::size_t k : power.shed) {
+            out.unrecoverable.push_back(ids::SsId{k});
         }
-        out.rounds = std::min(out.rounds, max_rounds);
+        out.rounds = power.rounds;
         SAG_OBS_COUNT_ADD("resilience.repair_rounds",
                           static_cast<std::size_t>(out.rounds));
     }
-
-    // --- Stage 4: re-steinerize the backhaul over what survived + was
-    // patched, then re-optimize the connectivity powers.
     core::ConnectivityPlan conn;
     {
         SAG_OBS_SPAN("resilience.repair.backhaul");
-        conn = core::solve_mbmc(out.covered_scenario, plan);
-        core::allocate_power_ucpo(out.covered_scenario, plan, conn);
+        conn = rebuild_backhaul(power.view);
     }
 
     std::sort(out.unrecoverable.begin(), out.unrecoverable.end());
     SAG_OBS_COUNT_ADD("resilience.unrecoverable_ss", out.unrecoverable.size());
 
-    out.repaired.coverage = std::move(plan);
-    out.repaired.lower_power = std::move(lower);
+    for (const std::size_t k : power.view.covered) out.covered.push_back(ids::SsId{k});
+    out.covered_scenario = std::move(power.view.covered_scenario);
+    out.repaired.coverage = std::move(power.view.plan);
+    out.repaired.lower_power = std::move(power.lower);
     out.repaired.connectivity = std::move(conn);
     const auto topo = core::verify_topology(
         out.covered_scenario, out.repaired.coverage, out.repaired.connectivity);
-    out.repaired.feasible = cov_report.feasible && topo.feasible;
+    out.repaired.feasible = out.repaired.lower_power.feasible && topo.feasible;
     out.power_after = out.repaired.total_power();
     return out;
 }

@@ -1,49 +1,22 @@
 #include "sag/serve/session.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
 
-#include "sag/core/candidates.h"
 #include "sag/core/feasibility.h"
-#include "sag/core/power.h"
-#include "sag/core/ucra.h"
-#include "sag/geometry/vec2.h"
 #include "sag/obs/obs.h"
-#include "sag/opt/power_control.h"
 
 namespace sag::serve {
-
-namespace {
-
-/// Per-link path gains plan-RS x covered-SS for the fixed-point stage
-/// (kernel resolved once), mirroring resilience::repair's matrix.
-std::vector<std::vector<double>> gain_matrix(const core::Scenario& covered,
-                                             const std::vector<geom::Vec2>& rs_pos) {
-    const wireless::GainKernel kernel = covered.gain_kernel();
-    std::vector<std::vector<double>> g(
-        rs_pos.size(), std::vector<double>(covered.subscriber_count()));
-    for (std::size_t i = 0; i < rs_pos.size(); ++i) {
-        for (std::size_t k = 0; k < covered.subscriber_count(); ++k) {
-            const geom::Vec2& ss = covered.subscribers[k].pos;
-            g[i][k] = kernel.gain(rs_pos[i], ss, geom::distance(rs_pos[i], ss));
-        }
-    }
-    return g;
-}
-
-}  // namespace
 
 Session::Session(core::Scenario scenario, const core::SagResult& deployment,
                  const ServeOptions& options)
     : scenario_(std::move(scenario)),
       options_(options),
-      field_(scenario_, std::span<const geom::Vec2>{},
-             std::span<const double>{}) {
+      state_(scenario_, {}, {}) {
     init_from_deployment(deployment);
 }
 
@@ -56,26 +29,22 @@ Session::~Session() {
 }
 
 void Session::init_from_deployment(const core::SagResult& deployment) {
-    const double p_max = scenario_.rs_max_power().watts();
-    rs_pos_ = deployment.coverage.rs_positions;
-    rs_cap_.assign(rs_pos_.size(), p_max);
-    rs_dead_.assign(rs_pos_.size(), false);
+    const std::vector<double> caps(deployment.coverage.rs_count(),
+                                   scenario_.rs_max_power().watts());
+    state_ = resilience::RepairState(scenario_, deployment.coverage.rs_positions, caps);
     failures_ = {};
-    field_ = core::SnrField(scenario_, rs_pos_, rs_cap_);
 
-    server_.assign(scenario_.subscriber_count(), kUnserved);
     slot_key_.resize(scenario_.subscriber_count());
     for (std::size_t k = 0; k < slot_key_.size(); ++k) slot_key_[k] = k;
     next_key_ = slot_key_.size();
     for (ids::SsId j : scenario_.ss_ids()) {
         const ids::RsId rs = deployment.coverage.assignment[j];
-        if (rs != ids::RsId::invalid() && rs.index() < rs_pos_.size()) {
-            server_[j.index()] = rs.index();
+        if (rs != ids::RsId::invalid() && rs.index() < caps.size()) {
+            state_.server[j.index()] = rs.index();
         }
     }
-    assigned_this_event_.assign(server_.size(), false);
 
-    alloc_.assign(rs_pos_.size(), 0.0);
+    alloc_.assign(caps.size(), 0.0);
     const std::size_t n =
         std::min(alloc_.size(), deployment.lower_power.powers.size());
     for (std::size_t i = 0; i < n; ++i) {
@@ -83,7 +52,7 @@ void Session::init_from_deployment(const core::SagResult& deployment) {
     }
     conn_ = deployment.connectivity;
     // The deployment's backhaul was built over its full coverage plan.
-    conn_active_.resize(rs_pos_.size());
+    conn_active_.resize(caps.size());
     std::iota(conn_active_.begin(), conn_active_.end(), std::size_t{0});
     backhaul_dirty_ = false;
     // Trust the pipeline's own verification verdict for the seed plan;
@@ -131,10 +100,10 @@ std::string Session::validate(const Event& e) const {
         case EventKind::RsFail:
         case EventKind::RsDegrade:
         case EventKind::RsRecover: {
-            if (e.rs == ids::RsId::invalid() || e.rs.index() >= rs_pos_.size()) {
+            if (e.rs == ids::RsId::invalid() || e.rs.index() >= state_.slot_count()) {
                 return "RS slot out of range";
             }
-            const bool dead = rs_dead_[e.rs.index()];
+            const bool dead = state_.dead[e.rs.index()];
             if (e.kind == EventKind::RsFail && dead) return "RS already failed";
             if (e.kind == EventKind::RsRecover && !dead) return "RS is not failed";
             if (e.kind == EventKind::RsDegrade) {
@@ -152,13 +121,14 @@ std::string Session::validate(const Event& e) const {
 
 void Session::apply_mutation(const Event& e) {
     const double p_max = scenario_.rs_max_power().watts();
+    core::SnrField& field = state_.field;
     switch (e.kind) {
         case EventKind::SsJoin: {
             scenario_.subscribers.emplace_back(e.pos, e.distance_request);
-            server_.push_back(kUnserved);
+            state_.server.push_back(kUnserved);
             slot_key_.push_back(e.key);
             next_key_ = std::max(next_key_, e.key + 1);
-            field_.add_subscriber(ids::SsId{scenario_.subscriber_count() - 1});
+            field.add_subscriber(ids::SsId{scenario_.subscriber_count() - 1});
             backhaul_dirty_ = true;
             break;
         }
@@ -169,46 +139,45 @@ void Session::apply_mutation(const Event& e) {
             const std::size_t last = slot_key_.size() - 1;
             if (k != last) {
                 scenario_.subscribers[k] = scenario_.subscribers[last];
-                server_[k] = server_[last];
+                state_.server[k] = state_.server[last];
                 slot_key_[k] = slot_key_[last];
             }
             scenario_.subscribers.pop_back();
-            server_.pop_back();
+            state_.server.pop_back();
             slot_key_.pop_back();
-            field_.remove_subscriber(ids::SsId{last});
-            if (k != last) field_.update_subscriber(ids::SsId{k});
+            field.remove_subscriber(ids::SsId{last});
+            if (k != last) field.update_subscriber(ids::SsId{k});
             backhaul_dirty_ = true;
             break;
         }
         case EventKind::SsMove: {
             const std::size_t k = find_slot(e.key);
             scenario_.subscribers[k].pos = e.pos;
-            field_.update_subscriber(ids::SsId{k});
+            field.update_subscriber(ids::SsId{k});
             break;
         }
         case EventKind::SsRate: {
             const std::size_t k = find_slot(e.key);
             scenario_.subscribers[k].distance_request = e.distance_request;
-            field_.update_subscriber(ids::SsId{k});
+            field.update_subscriber(ids::SsId{k});
             backhaul_dirty_ = true;  // hop bounds derive from rate requests
             break;
         }
         case EventKind::RsFail: {
             const std::size_t i = e.rs.index();
-            rs_dead_[i] = true;
-            rs_cap_[i] = 0.0;
+            state_.dead[i] = true;
             alloc_[i] = 0.0;
-            field_.set_power(ids::RsId{i}, units::Watt{0.0});
-            failures_.coverage_down.push_back(ids::RsId{i});
+            field.set_power(e.rs, units::Watt{0.0});
+            failures_.coverage_down.push_back(e.rs);
             std::sort(failures_.coverage_down.begin(),
                       failures_.coverage_down.end());
             break;
         }
         case EventKind::RsDegrade: {
             const std::size_t i = e.rs.index();
-            rs_cap_[i] = std::min(rs_cap_[i], e.factor * p_max);
-            alloc_[i] = std::min(alloc_[i], rs_cap_[i]);
-            field_.set_power(ids::RsId{i}, units::Watt{rs_cap_[i]});
+            const double cap = std::min(field.rs_power(e.rs).watts(), e.factor * p_max);
+            alloc_[i] = std::min(alloc_[i], cap);
+            field.set_power(e.rs, units::Watt{cap});
             bool found = false;
             for (resilience::Degradation& d : failures_.degraded) {
                 if (d.rs == e.rs) {
@@ -229,10 +198,8 @@ void Session::apply_mutation(const Event& e) {
         case EventKind::RsRecover: {
             // Recovery means replaced hardware: full cap, degradation
             // history cleared.
-            const std::size_t i = e.rs.index();
-            rs_dead_[i] = false;
-            rs_cap_[i] = p_max;
-            field_.set_power(ids::RsId{i}, units::Watt{p_max});
+            state_.dead[e.rs.index()] = false;
+            field.set_power(e.rs, units::Watt{p_max});
             std::erase(failures_.coverage_down, e.rs);
             std::erase_if(failures_.degraded,
                           [&](const resilience::Degradation& d) {
@@ -243,249 +210,40 @@ void Session::apply_mutation(const Event& e) {
     }
 }
 
-bool Session::can_serve(std::size_t rs, std::size_t slot) const {
-    // The three verify_coverage checks at placement-phase optimism
-    // (everyone at their cap), against the probe field's cached totals —
-    // the same contract as resilience::repair's can_serve.
-    if (rs_dead_[rs]) return false;
-    const core::Subscriber& s = scenario_.subscribers[slot];
-    const double dist = geom::distance(rs_pos_[rs], s.pos);
-    if (dist > s.distance_request + 1e-6) return false;
-    const ids::SsId j{slot};
-    const units::Watt rx =
-        scenario_.received_power(units::Watt{rs_cap_[rs]}, rs_pos_[rs], s.pos);
-    if (rx < scenario_.min_rx_power(j) * (1.0 - 1e-9)) return false;
-    return field_.snr_of(j, ids::RsId{rs}) >=
-           scenario_.snr_threshold_linear() * (1.0 - 1e-9);
-}
-
-Session::ActiveView Session::build_view() const {
-    ActiveView v;
-    std::vector<std::size_t> load(rs_pos_.size(), 0);
-    for (std::size_t k = 0; k < server_.size(); ++k) {
-        if (server_[k] != kUnserved) ++load[server_[k]];
-    }
-    std::vector<std::size_t> pool_to_plan(rs_pos_.size(), kUnserved);
-    for (std::size_t r = 0; r < rs_pos_.size(); ++r) {
-        assert(!(rs_dead_[r] && load[r] > 0) &&
-               "dead RS with load: the candidate scan must clear it");
-        if (rs_dead_[r] || load[r] == 0) continue;
-        pool_to_plan[r] = v.plan.rs_positions.size();
-        v.active.push_back(r);
-        v.plan.rs_positions.push_back(rs_pos_[r]);
-        v.caps.push_back(rs_cap_[r]);
-    }
-    v.covered_scenario = scenario_;
-    v.covered_scenario.subscribers.clear();
-    for (std::size_t k = 0; k < server_.size(); ++k) {
-        if (server_[k] == kUnserved) continue;
-        v.covered_slots.push_back(k);
-        v.covered_scenario.subscribers.push_back(scenario_.subscribers[k]);
-    }
-    v.plan.assignment.resize(v.covered_slots.size());
-    for (std::size_t c = 0; c < v.covered_slots.size(); ++c) {
-        v.plan.assignment[ids::SsId{c}] =
-            ids::RsId{pool_to_plan[server_[v.covered_slots[c]]]};
-    }
-    v.plan.feasible = true;
-    return v;
-}
-
 void Session::rehome(const std::vector<std::size_t>& candidates,
                      EventOutcome& out) {
     if (candidates.empty()) return;
     SAG_OBS_SPAN("serve.rehome");
-    std::vector<std::size_t> order(rs_pos_.size());
-    for (const std::size_t k : candidates) {
-        const geom::Vec2& sp = scenario_.subscribers[k].pos;
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      const double da = geom::distance_sq(rs_pos_[a], sp);
-                      const double db = geom::distance_sq(rs_pos_[b], sp);
-                      return da != db ? da < db : a < b;
-                  });
-        for (const std::size_t rs : order) {
-            if (!can_serve(rs, k)) continue;
-            server_[k] = rs;
-            assigned_this_event_[k] = true;
-            ++out.rehomed;
-            break;
-        }
-    }
-    SAG_OBS_COUNT_ADD("serve.rehomed_ss", out.rehomed);
-}
-
-void Session::patch(EventOutcome& out) {
-    SAG_OBS_SPAN("serve.patch");
-    std::vector<std::size_t> unreached;
-    for (std::size_t k = 0; k < server_.size(); ++k) {
-        if (server_[k] == kUnserved) unreached.push_back(k);
-    }
-    if (unreached.empty()) return;
-
-    core::Scenario orphan_view = scenario_;
-    orphan_view.subscribers.clear();
-    for (const std::size_t k : unreached) {
-        orphan_view.subscribers.push_back(scenario_.subscribers[k]);
-    }
-    std::vector<geom::Vec2> cands = core::prune_useless_candidates(
-        orphan_view, core::iac_candidates(orphan_view));
-    // A candidate can coincide with an alive pool RS (the plan drew from
-    // the same IAC pool); co-located transmitters are degenerate, drop
-    // them. Dead slots are vacated sites and stay available.
-    std::erase_if(cands, [&](const geom::Vec2& c) {
-        for (std::size_t r = 0; r < rs_pos_.size(); ++r) {
-            if (!rs_dead_[r] && rs_pos_[r] == c) return true;
-        }
-        return false;
-    });
-
-    const double p_max = scenario_.rs_max_power().watts();
-    const auto trial_can_serve = [&](const geom::Vec2& site, ids::RsId trial,
-                                     std::size_t slot) {
-        const core::Subscriber& s = scenario_.subscribers[slot];
-        if (geom::distance(site, s.pos) > s.distance_request + 1e-6) return false;
-        const ids::SsId j{slot};
-        const units::Watt rx =
-            scenario_.received_power(units::Watt{p_max}, site, s.pos);
-        if (rx < scenario_.min_rx_power(j) * (1.0 - 1e-9)) return false;
-        return field_.snr_of(j, trial) >=
-               scenario_.snr_threshold_linear() * (1.0 - 1e-9);
-    };
-
-    while (!unreached.empty() &&
-           out.patched < options_.max_new_relays_per_event && !cands.empty()) {
-        // Greedy max coverage: the candidate whose P_max relay would
-        // serve the most still-unreached SSs, probed via a rolled-back
-        // add_rs delta so the field never sees uncommitted interference.
-        std::size_t best_cand = cands.size();
-        std::size_t best_count = 0;
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            core::SnrField::Transaction probe(field_);
-            const ids::RsId trial = field_.add_rs(cands[c], units::Watt{p_max});
-            std::size_t count = 0;
-            for (const std::size_t k : unreached) {
-                if (trial_can_serve(cands[c], trial, k)) ++count;
-            }
-            if (count > best_count) {
-                best_count = count;
-                best_cand = c;
-            }
-        }
-        if (best_count == 0) break;  // nobody reachable: stop patching
-
-        const geom::Vec2 site = cands[best_cand];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best_cand));
-        field_.add_rs(site, units::Watt{p_max});
-        rs_pos_.push_back(site);
-        rs_cap_.push_back(p_max);
-        rs_dead_.push_back(false);
-        alloc_.push_back(0.0);
-        const std::size_t added = rs_pos_.size() - 1;
-        ++out.patched;
-        std::vector<std::size_t> still;
-        for (const std::size_t k : unreached) {
-            if (can_serve(added, k)) {
-                server_[k] = added;
-                assigned_this_event_[k] = true;
-            } else {
-                still.push_back(k);
-            }
-        }
-        unreached = std::move(still);
-    }
-    SAG_OBS_COUNT_ADD("serve.patched_relays", out.patched);
+    const std::size_t placed = resilience::rehome(state_, candidates);
+    out.rehomed += placed;
+    SAG_OBS_COUNT_ADD("serve.rehomed_ss", placed);
 }
 
 void Session::reallocate_power(EventOutcome& out) {
     SAG_OBS_SPAN("serve.power");
-    const int max_rounds = std::max(1, options_.max_power_rounds);
-    for (int round = 0; round < max_rounds; ++round) {
-        const ActiveView v = build_view();
-        std::fill(alloc_.begin(), alloc_.end(), 0.0);
-        if (v.plan.rs_count() == 0) return;
-
-        std::vector<double> floors(v.plan.rs_count(), 0.0);
-        for (ids::RsId i : v.plan.rs_ids()) {
-            floors[i.index()] = std::min(
-                core::coverage_power_floor(v.covered_scenario, v.plan, i)
-                    .watts(),
-                v.caps[i.index()]);
-        }
-        const auto g = gain_matrix(v.covered_scenario, v.plan.rs_positions);
-        const units::SnrRatio beta = v.covered_scenario.snr_threshold();
-        const auto result = opt::fixed_point_power_control(
-            floors, v.caps,
-            [&](std::size_t i, std::span<const double> powers) {
-                units::Watt need{0.0};
-                const std::size_t subs = v.covered_scenario.subscriber_count();
-                for (std::size_t k = 0; k < subs; ++k) {
-                    if (v.plan.assignment[ids::SsId{k}] != ids::RsId{i}) continue;
-                    units::Watt interference =
-                        v.covered_scenario.radio.snr_ambient_noise;
-                    for (std::size_t m = 0; m < v.plan.rs_count(); ++m) {
-                        if (m != i) {
-                            interference += units::Watt{powers[m] * g[m][k]};
-                        }
-                    }
-                    need = std::max(need, beta * interference / g[i][k]);
-                }
-                return need.watts();
-            });
-        for (std::size_t r = 0; r < v.active.size(); ++r) {
-            alloc_[v.active[r]] = result.powers[r];
-        }
-
-        const core::CoverageReport report = core::verify_coverage(
-            v.covered_scenario, v.plan, result.powers);
-        if (report.feasible) return;
-
-        // Shed the failing SSs assigned this event; if only stable SSs
-        // fail (a new assignment's interference squeezed them), shed
-        // every this-event assignment instead — yesterday's verified
-        // plan is the feasible fallback.
-        std::vector<std::size_t> shed;
-        for (std::size_t c = 0; c < v.covered_slots.size(); ++c) {
-            const auto& check = report.subscribers[ids::SsId{c}];
-            const std::size_t slot = v.covered_slots[c];
-            if ((!check.distance_ok || !check.rate_ok || !check.snr_ok) &&
-                assigned_this_event_[slot]) {
-                shed.push_back(slot);
-            }
-        }
-        if (shed.empty()) {
-            for (std::size_t k = 0; k < server_.size(); ++k) {
-                if (assigned_this_event_[k] && server_[k] != kUnserved) {
-                    shed.push_back(k);
-                }
-            }
-        }
-        if (shed.empty()) return;  // stable SSs only: flagged via verify
-        for (const std::size_t k : shed) server_[k] = kUnserved;
-        out.shed += shed.size();
-        SAG_OBS_COUNT_ADD("serve.shed_ss", shed.size());
+    const resilience::PowerStage stage =
+        resilience::reallocate_power(state_, options_.max_power_rounds);
+    alloc_.assign(state_.slot_count(), 0.0);
+    for (std::size_t r = 0; r < stage.view.active.size(); ++r) {
+        alloc_[stage.view.active[r]] = stage.lower.powers[r];
     }
+    if (stage.shed.empty()) return;
+    out.shed += stage.shed.size();
+    SAG_OBS_COUNT_ADD("serve.shed_ss", stage.shed.size());
 }
 
 void Session::rebuild_backhaul() {
     SAG_OBS_SPAN("serve.backhaul");
-    const ActiveView v = build_view();
-    if (v.plan.rs_count() == 0) {
-        conn_ = core::ConnectivityPlan{};
-        conn_.feasible = true;
-    } else {
-        conn_ = core::solve_mbmc(v.covered_scenario, v.plan);
-        core::allocate_power_ucpo(v.covered_scenario, v.plan, conn_);
-    }
+    const resilience::RepairView v = resilience::build_view(state_);
+    conn_ = resilience::rebuild_backhaul(v);
     conn_active_ = v.active;
     backhaul_dirty_ = false;
 }
 
 void Session::run_verify() {
-    const ActiveView v = build_view();
+    const resilience::RepairView v = resilience::build_view(state_);
     if (v.plan.rs_count() == 0) {
-        verified_ = v.covered_slots.empty();
+        verified_ = v.covered.empty();
         return;
     }
     std::vector<double> powers(v.active.size());
@@ -530,23 +288,20 @@ void Session::adopt_or_fail_resolve(EventOutcome& out) {
 
 void Session::adopt_plan(const core::SagResult& solved, EventOutcome& out) {
     SAG_OBS_SPAN("serve.adopt");
-    const double p_max = scenario_.rs_max_power().watts();
     // Atomic swap to the re-solved deployment. Outstanding failures
     // refer to decommissioned hardware and are cleared (a full re-solve
     // is a re-deployment of the lower tier).
-    rs_pos_ = solved.coverage.rs_positions;
-    rs_cap_.assign(rs_pos_.size(), p_max);
-    rs_dead_.assign(rs_pos_.size(), false);
+    const std::vector<double> caps(solved.coverage.rs_count(),
+                                   scenario_.rs_max_power().watts());
+    state_ = resilience::RepairState(scenario_, solved.coverage.rs_positions, caps);
     failures_ = {};
-    alloc_.assign(rs_pos_.size(), 0.0);
-    field_ = core::SnrField(scenario_, rs_pos_, rs_cap_);
+    alloc_.assign(caps.size(), 0.0);
 
     // The solved assignment maps the trigger-time snapshot's SsIds; the
     // SS set may have churned since, so every current SS is re-homed
     // onto the new pool and the powers re-escalated from scratch.
-    server_.assign(server_.size(), kUnserved);
-    assigned_this_event_.assign(server_.size(), true);
-    std::vector<std::size_t> all(server_.size());
+    state_.placed.assign(state_.server.size(), true);
+    std::vector<std::size_t> all(state_.server.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
     rehome(all, out);
     reallocate_power(out);
@@ -623,7 +378,7 @@ EventOutcome Session::apply(const Event& event) {
     }
 
     apply_mutation(event);
-    assigned_this_event_.assign(server_.size(), false);
+    state_.placed.assign(state_.server.size(), false);
 
     StageGate gate{exec::Deadline::after_seconds(options_.event_budget_seconds),
                    options_.faults.stage_timeout_mask(out.event_index)};
@@ -633,13 +388,10 @@ EventOutcome Session::apply(const Event& event) {
     // server can no longer possibly serve it (dead, out of reach, or
     // below rate/SNR even at the caps).
     std::vector<std::size_t> candidates;
-    for (std::size_t k = 0; k < server_.size(); ++k) {
-        if (server_[k] == kUnserved) {
-            candidates.push_back(k);
-            continue;
-        }
-        if (rs_dead_[server_[k]] || !can_serve(server_[k], k)) {
-            server_[k] = kUnserved;
+    for (std::size_t k = 0; k < state_.server.size(); ++k) {
+        const std::size_t server = state_.server[k];
+        if (server == kUnserved || !state_.link_ok(server, k)) {
+            state_.server[k] = kUnserved;
             candidates.push_back(k);
         }
     }
@@ -657,7 +409,11 @@ EventOutcome Session::apply(const Event& event) {
             if (gate.expired(RepairStage::Patch)) {
                 out.level = RepairLevel::RehomeOnly;
             } else {
-                patch(out);
+                SAG_OBS_SPAN("serve.patch");
+                out.patched = resilience::patch(
+                    state_, options_.max_new_relays_per_event);
+                alloc_.resize(state_.slot_count(), 0.0);
+                SAG_OBS_COUNT_ADD("serve.patched_relays", out.patched);
             }
         }
         if (out.level == RepairLevel::Full) {
@@ -685,7 +441,7 @@ EventOutcome Session::apply(const Event& event) {
     // Backhaul: rebuild when the active RS set or the rate structure
     // changed; a gated-off rebuild leaves the plan explicitly degraded
     // (stale backhaul), never silently wrong.
-    if (backhaul_dirty_ || build_view().active != conn_active_) {
+    if (backhaul_dirty_ || resilience::active_slots(state_) != conn_active_) {
         if (gate.expired(RepairStage::Backhaul)) {
             backhaul_dirty_ = true;
         } else {
@@ -707,21 +463,12 @@ EventOutcome Session::apply(const Event& event) {
 }
 
 std::size_t Session::unserved_count() const {
-    std::size_t n = 0;
-    for (const std::size_t s : server_) n += s == kUnserved ? 1 : 0;
-    return n;
+    return static_cast<std::size_t>(
+        std::count(state_.server.begin(), state_.server.end(), kUnserved));
 }
 
 std::size_t Session::active_rs_count() const {
-    std::vector<bool> loaded(rs_pos_.size(), false);
-    for (const std::size_t s : server_) {
-        if (s != kUnserved) loaded[s] = true;
-    }
-    std::size_t n = 0;
-    for (std::size_t r = 0; r < rs_pos_.size(); ++r) {
-        n += (loaded[r] && !rs_dead_[r]) ? 1 : 0;
-    }
-    return n;
+    return resilience::active_slots(state_).size();
 }
 
 double Session::total_power() const {
@@ -733,19 +480,17 @@ double Session::total_power() const {
 
 std::vector<std::uint64_t> Session::unserved_keys() const {
     std::vector<std::uint64_t> keys;
-    for (std::size_t k = 0; k < server_.size(); ++k) {
-        if (server_[k] == kUnserved) keys.push_back(slot_key_[k]);
-    }
+    for (const std::size_t k : state_.unserved()) keys.push_back(slot_key_[k]);
     std::sort(keys.begin(), keys.end());
     return keys;
 }
 
 Session::Snapshot Session::snapshot() const {
-    ActiveView v = build_view();
+    resilience::RepairView v = resilience::build_view(state_);
     Snapshot snap;
     snap.covered_scenario = std::move(v.covered_scenario);
-    snap.covered_keys.reserve(v.covered_slots.size());
-    for (const std::size_t k : v.covered_slots) {
+    snap.covered_keys.reserve(v.covered.size());
+    for (const std::size_t k : v.covered) {
         snap.covered_keys.push_back(slot_key_[k]);
     }
     snap.plan = std::move(v.plan);

@@ -1,6 +1,6 @@
 // SnrField: incremental-vs-scratch equivalence, transaction rollback,
-// the incremental ILPQC oracle, the grid-backed nearest assignment, and
-// the parallel refresh. The randomized property tests use fixed seeds.
+// the incremental ILPQC oracle, and the grid-backed nearest assignment.
+// The randomized property tests use fixed seeds.
 #include <cmath>
 #include <limits>
 #include <random>
@@ -11,8 +11,6 @@
 #include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
 #include "sag/sim/scenario_gen.h"
-#include "sag/sim/snr_field_refresh.h"
-#include "sag/exec/thread_pool.h"
 
 namespace sag::core {
 namespace {
@@ -282,26 +280,6 @@ TEST(NearestAssignmentGridTest, GridPathMatchesLinearScan) {
     ASSERT_EQ(got.has_value(), expected_ok);
     if (got) {
         EXPECT_EQ(*got, expected);
-    }
-}
-
-TEST(SnrFieldRefreshTest, ParallelRefreshMatchesSerial) {
-    const Scenario s = random_scenario(200, 800.0, 61);
-    std::mt19937 rng(3);
-    std::uniform_real_distribution<double> coord(-400.0, 400.0);
-    std::vector<geom::Vec2> rs;
-    for (std::size_t i = 0; i < 40; ++i) rs.push_back({coord(rng), coord(rng)});
-    SnrField field = SnrField::at_max_power(s, rs);
-
-    std::vector<double> serial(field.tracked_count());
-    for (std::size_t k = 0; k < serial.size(); ++k) {
-        serial[k] = field.total_rx(SsId{k});
-    }
-
-    exec::ThreadPool pool(4);
-    sim::refresh_snr_field(field, pool);
-    for (std::size_t k = 0; k < serial.size(); ++k) {
-        EXPECT_EQ(field.total_rx(SsId{k}), serial[k]) << k;
     }
 }
 
