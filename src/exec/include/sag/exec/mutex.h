@@ -11,7 +11,7 @@ namespace sag::exec {
 /// TSA capability, so members declared SAG_GUARDED_BY(mu) cannot be
 /// touched without holding it (compile error under clang, see
 /// docs/STATIC_ANALYSIS.md §8). All locking in src/ flows through this
-/// wrapper — tools/check_static.sh §6 rejects raw std::mutex/
+/// wrapper — sag_lint's conc-raw rule rejects raw std::mutex/
 /// std::thread/std::condition_variable outside src/exec/.
 class SAG_CAPABILITY("mutex") Mutex {
 public:

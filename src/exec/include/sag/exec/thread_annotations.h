@@ -10,9 +10,9 @@
 // expands to nothing, so the annotations are free documentation there.
 //
 // The annotated capability types live in sag/exec/mutex.h
-// (exec::Mutex / exec::MutexLock / exec::CondVar); the domain lint in
-// tools/check_static.sh §6 keeps raw std::mutex/std::thread out of the
-// rest of src/, so all locking flows through the analyzed wrappers.
+// (exec::Mutex / exec::MutexLock / exec::CondVar); sag_lint's conc-raw
+// rule keeps raw std::mutex/std::thread out of the rest of src/, so all
+// locking flows through the analyzed wrappers.
 // Contract and usage examples: docs/STATIC_ANALYSIS.md §8.
 
 #if defined(__clang__) && (!defined(SWIG))

@@ -4,13 +4,13 @@
 #
 # A lint that never fires is indistinguishable from a lint that works, so
 # this harness proves each rule both accepts and rejects: it copies the
-# script, the sag_lint engine, and the allowlists into a temp tree with
+# script, the sag_lint engine, and the allowlist into a temp tree with
 # its own mini layering manifest, seeds exactly one violation per rule,
 # and asserts the gate fails with that rule's message — then asserts it
 # passes on the clean temp tree AND on the real repository. Covered:
 #
 #   * units-param / ids-param / gain-param — plain violations, plus the
-#     evasions the grep lints could not see: a typedef'd/using-aliased
+#     evasions a grep lint could not see: a typedef'd/using-aliased
 #     type name, and (as accepts) signatures quoted in comments/strings;
 #   * raw-escape — an unjustified .raw() fails, a `// SAG_RAW_OK:` one
 #     passes;
@@ -18,12 +18,14 @@
 #     manifest edge (dead edge) fails, and deleting a module from the
 #     REAL tools/layering.json makes the real tree fail (every manifest
 #     entry is load-bearing);
-#   * dead-suppression — an allowlist entry that matches nothing fails,
-#     and so does an entry without a `rule-id:` prefix;
-#   * det-entropy / det-unordered / conc-raw — the grep lints, their
-#     src/exec exemption, and rule-named allowlist mechanics;
+#   * det-entropy / det-unordered / conc-raw — plain violations, the
+#     src/exec exemption, primitives named only in comments/strings (as
+#     accepts), and a whole-file allowlist entry;
+#   * dead-suppression — an allowlist entry that matches nothing fails
+#     (a param entry and a conc-raw entry), and so does an entry without
+#     a `rule-id:` prefix;
 #   * degradation policy — a missing compilation database passes locally
-#     but hard-fails under CI=true.
+#     but hard-fails under CI=true, and a missing python3 always fails.
 #
 # The clang-tidy pass never runs here (the temp build dir doesn't
 # exist), and CI is stripped from the environment for the temp-tree runs
@@ -35,21 +37,16 @@ repo_root=$(pwd)
 fail=0
 err() { echo "check_static_selftest: $*" >&2; fail=1; }
 
-have_python3=0
-command -v python3 >/dev/null 2>&1 && have_python3=1
-
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # Minimal clean tree: the script cds to its own parent, so tools/ must
 # hold the script, the sag_lint engine, the layering manifest, and the
-# allowlists with their repo-relative names.
+# allowlist with their repo-relative names.
 mkdir -p "$tmp/tools" "$tmp/src/core/include/sag/core" "$tmp/src/core/src" \
          "$tmp/src/opt/src" "$tmp/src/sim/src" "$tmp/src/exec/src"
-cp tools/check_static.sh "$tmp/tools/"
+cp tools/check_static.sh tools/check_static_allowlist.txt "$tmp/tools/"
 cp -r tools/sag_lint "$tmp/tools/"
-cp tools/check_static_allowlist.txt tools/check_determinism_allowlist.txt \
-   tools/check_concurrency_allowlist.txt "$tmp/tools/"
 # The temp tree gets its own manifest (the real one's modules don't
 # exist here, and its edges would all be dead). No deps: every declared
 # cross-module include in a seeded file is an illegal edge.
@@ -80,6 +77,18 @@ run_script() {  # runs the copied script in the temp tree, captures output
     status=$?
 }
 
+# expect_fail <case-name> <message-fragment>: the last run_script failed
+# with that message.
+expect_fail() {
+    local name=$1 fragment=$2
+    if [ "$status" -eq 0 ]; then
+        err "$name: violation NOT caught"
+    elif ! echo "$out" | grep -qF -- "$fragment"; then
+        err "$name: failed, but without the expected message '$fragment':"
+        echo "$out" >&2
+    fi
+}
+
 # --- positive control: the clean temp tree passes --------------------------
 run_script
 if [ "$status" -ne 0 ]; then
@@ -93,12 +102,7 @@ expect_reject() {
     mkdir -p "$tmp/$(dirname "$file")"
     cat > "$tmp/$file"
     run_script
-    if [ "$status" -eq 0 ]; then
-        err "$name: seeded violation in $file was NOT caught"
-    elif ! echo "$out" | grep -qF "$fragment"; then
-        err "$name: failed, but without the expected message '$fragment':"
-        echo "$out" >&2
-    fi
+    expect_fail "$name ($file)" "$fragment"
     rm -f "$tmp/$file"
 }
 
@@ -180,23 +184,34 @@ std::mutex g_ok;
 }  // namespace sag::exec
 EOF
 
-# --- sag_lint-only rules (need python3; CI always has it) ------------------
-if [ "$have_python3" -eq 1 ]; then
-    # A typedef cannot rename `double` past the units rule: the token
-    # engine resolves project-wide aliases before matching. The old grep
-    # lint was blind to exactly this.
-    expect_reject "units-lint-typedef" "src/core/src/bad_alias.cpp" \
-        "bare-double power/SNR parameter" <<'EOF'
+# An entropy source or a raw primitive named only in a comment or a
+# string is prose, not a violation: the rules read stripped source.
+expect_accept "confinement-comment-immunity" "src/sim/src/prose.cpp" <<'EOF'
+// Never draw from std::random_device here, and no std::mutex either:
+/* #include <mutex> stays in src/exec, as does std::thread. */
+namespace sag::sim {}
+EOF
+
+expect_accept "confinement-string-immunity" "src/sim/src/quoted.cpp" <<'EOF'
+namespace sag::sim {
+const char* banned() { return "std::random_device and std::mutex"; }
+}  // namespace sag::sim
+EOF
+
+# A typedef cannot rename `double` past the units rule: the token
+# engine resolves project-wide aliases before matching.
+expect_reject "units-lint-typedef" "src/core/src/bad_alias.cpp" \
+    "bare-double power/SNR parameter" <<'EOF'
 namespace sag::core {
 using level_t = double;
 double scale(level_t rx_power) { return rx_power * 2.0; }
 }  // namespace sag::core
 EOF
 
-    # Same for an aliased size_t entity index in a solver header.
-    expect_reject "entity-index-lint-alias" \
-        "src/core/include/sag/core/bad_ids_alias.h" \
-        "raw size_t entity-index parameter" <<'EOF'
+# Same for an aliased size_t entity index in a solver header.
+expect_reject "entity-index-lint-alias" \
+    "src/core/include/sag/core/bad_ids_alias.h" \
+    "raw size_t entity-index parameter" <<'EOF'
 #pragma once
 #include <cstddef>
 namespace sag::core {
@@ -205,27 +220,27 @@ void move_relay(slot_t rs_idx);
 }  // namespace sag::core
 EOF
 
-    # A signature quoted in a comment or a string is not a violation:
-    # the token engine strips both before matching (the classic grep
-    # false positive, inverted into an accept case).
-    expect_accept "comment-string-immunity" "src/core/src/quoted.cpp" <<'EOF'
+# A signature quoted in a comment or a string is not a violation:
+# the token engine strips both before matching (the classic grep
+# false positive, inverted into an accept case).
+expect_accept "comment-string-immunity" "src/core/src/quoted.cpp" <<'EOF'
 // Documented anti-pattern: double scale(double tx_power, double snr);
 namespace sag::core {
 const char* usage() { return "usage: scale(double tx_power)"; }
 }  // namespace sag::core
 EOF
 
-    # An unjustified strong-type escape hatch fails ...
-    expect_reject "raw-escape-lint" "src/core/src/bad_raw.cpp" \
-        "unjustified strong-type escape hatch" <<'EOF'
+# An unjustified strong-type escape hatch fails ...
+expect_reject "raw-escape-lint" "src/core/src/bad_raw.cpp" \
+    "unjustified strong-type escape hatch" <<'EOF'
 namespace sag::core {
 template <typename V>
 double first(const V& powers) { return powers.raw()[0]; }
 }  // namespace sag::core
 EOF
 
-    # ... and the same call with a SAG_RAW_OK justification passes.
-    expect_accept "raw-escape-justified" "src/core/src/ok_raw.cpp" <<'EOF'
+# ... and the same call with a SAG_RAW_OK justification passes.
+expect_accept "raw-escape-justified" "src/core/src/ok_raw.cpp" <<'EOF'
 namespace sag::core {
 template <typename V>
 double first(const V& powers) {
@@ -235,93 +250,64 @@ double first(const V& powers) {
 }  // namespace sag::core
 EOF
 
-    # An include edge the manifest does not declare is illegal.
-    expect_reject "layering-illegal-edge" "src/opt/src/bad_edge.cpp" \
-        "illegal include edge" <<'EOF'
+# An include edge the manifest does not declare is illegal.
+expect_reject "layering-illegal-edge" "src/opt/src/bad_edge.cpp" \
+    "illegal include edge" <<'EOF'
 #include "sag/core/clean.h"
 namespace sag::opt {}
 EOF
 
-    # A commented-out include is NOT an edge.
-    expect_accept "layering-comment-immunity" "src/opt/src/ok_edge.cpp" <<'EOF'
+# A commented-out include is NOT an edge.
+expect_accept "layering-comment-immunity" "src/opt/src/ok_edge.cpp" <<'EOF'
 // #include "sag/core/clean.h"
 namespace sag::opt {}
 EOF
 
-    # A declared edge no include exercises is dead: the manifest can
-    # never drift looser than the code.
-    sed 's/"core": { "deps": \[\] }/"core": { "deps": ["opt"] }/' \
-        "$tmp/tools/layering.json" > "$tmp/tools/layering.json.tmp"
-    mv "$tmp/tools/layering.json.tmp" "$tmp/tools/layering.json"
-    run_script
-    if [ "$status" -eq 0 ]; then
-        err "layering-dead-edge: unused manifest edge core->opt NOT caught"
-    elif ! echo "$out" | grep -qF "dead layering edge"; then
-        err "layering-dead-edge: failed without 'dead layering edge':"
-        echo "$out" >&2
-    fi
-    sed 's/"core": { "deps": \["opt"\] }/"core": { "deps": [] }/' \
-        "$tmp/tools/layering.json" > "$tmp/tools/layering.json.tmp"
-    mv "$tmp/tools/layering.json.tmp" "$tmp/tools/layering.json"
+# A declared edge no include exercises is dead: the manifest can
+# never drift looser than the code.
+sed 's/"core": { "deps": \[\] }/"core": { "deps": ["opt"] }/' \
+    "$tmp/tools/layering.json" > "$tmp/tools/layering.json.tmp"
+mv "$tmp/tools/layering.json.tmp" "$tmp/tools/layering.json"
+run_script
+expect_fail "layering-dead-edge (core->opt)" "dead layering edge"
+sed 's/"core": { "deps": \["opt"\] }/"core": { "deps": [] }/' \
+    "$tmp/tools/layering.json" > "$tmp/tools/layering.json.tmp"
+mv "$tmp/tools/layering.json.tmp" "$tmp/tools/layering.json"
 
-    # An allowlist entry that matches nothing is dead and fails the gate.
-    echo "units-param: src/core/src/no_such_file.cpp" \
-        >> "$tmp/tools/check_static_allowlist.txt"
+# --- allowlist mechanics ----------------------------------------------------
+# with_entry <entry>: run the gate with one extra allowlist line.
+with_entry() {
+    echo "$1" >> "$tmp/tools/check_static_allowlist.txt"
     run_script
-    if [ "$status" -eq 0 ]; then
-        err "dead-suppression: stale allowlist entry NOT caught"
-    elif ! echo "$out" | grep -qF "dead allowlist entry"; then
-        err "dead-suppression: failed without 'dead allowlist entry':"
-        echo "$out" >&2
-    fi
     cp tools/check_static_allowlist.txt "$tmp/tools/"
+}
 
-    # An entry that names no rule is a format error.
-    echo "src/core/src/whatever.cpp" >> "$tmp/tools/check_static_allowlist.txt"
-    run_script
-    if [ "$status" -eq 0 ]; then
-        err "suppression-format: rule-less allowlist entry NOT caught"
-    elif ! echo "$out" | grep -qF "must name the rule"; then
-        err "suppression-format: failed without 'must name the rule':"
-        echo "$out" >&2
-    fi
-    cp tools/check_static_allowlist.txt "$tmp/tools/"
-else
-    echo "check_static_selftest: python3 not found; sag_lint-only cases" \
-         "skipped (grep fallback covered above)" >&2
-fi
-
-# --- allowlist mechanics: an allowlisted violation passes ------------------
+# Whole-file exemption: the rule-named path fragment matches every hit
+# in the file.
 cat > "$tmp/src/sim/src/allowlisted.cpp" <<'EOF'
 #include <mutex>
 namespace sag::sim { std::mutex g_special; }
 EOF
-# Whole-file exemption: the rule-named path fragment matches every hit
-# in the file.
-echo "conc-raw: src/sim/src/allowlisted.cpp" \
-    >> "$tmp/tools/check_concurrency_allowlist.txt"
-run_script
+with_entry "conc-raw: src/sim/src/allowlisted.cpp"
 if [ "$status" -ne 0 ]; then
     err "allowlisted confinement hit should pass, got exit $status:"
     echo "$out" >&2
 fi
 rm -f "$tmp/src/sim/src/allowlisted.cpp"
-cp tools/check_concurrency_allowlist.txt "$tmp/tools/"
 
-# A dead entry in a grep-lint allowlist (the file it excused is gone)
-# fails even without python3 — the shell validates those itself.
-echo "conc-raw: src/sim/src/long_gone.cpp" \
-    >> "$tmp/tools/check_concurrency_allowlist.txt"
-run_script
-if [ "$status" -eq 0 ]; then
-    err "grep-lint dead allowlist entry NOT caught"
-elif ! echo "$out" | grep -qF "dead allowlist entry"; then
-    err "grep-lint dead entry failed without 'dead allowlist entry':"
-    echo "$out" >&2
-fi
-cp tools/check_concurrency_allowlist.txt "$tmp/tools/"
+# An allowlist entry that matches nothing is dead and fails the gate,
+# whichever rule it names.
+with_entry "units-param: src/core/src/no_such_file.cpp"
+expect_fail "dead-suppression (units-param)" "dead allowlist entry"
+with_entry "conc-raw: src/sim/src/long_gone.cpp"
+expect_fail "dead-suppression (conc-raw)" "dead allowlist entry"
 
-# --- degradation policy: missing compile DB is fatal under CI --------------
+# An entry that names no rule is a format error.
+with_entry "src/core/src/whatever.cpp"
+expect_fail "suppression-format" "must name the rule"
+
+# --- degradation policy -------------------------------------------------------
+# A missing compile DB is fatal under CI.
 out=$( cd "$tmp" && env CI=true bash tools/check_static.sh no-such-build-dir 2>&1 )
 if [ $? -eq 0 ]; then
     err "CI=true with no compilation database must fail (silent degradation):"
@@ -332,27 +318,32 @@ if [ $? -eq 0 ]; then
     err "--strict with no compilation database must fail:"
     echo "$out" >&2
 fi
+# A missing python3 is fatal in every mode: without sag_lint no domain
+# rule runs. The PATH holds only what the script needs besides python3.
+mkdir -p "$tmp/nopy"
+ln -s "$(command -v dirname)" "$tmp/nopy/dirname"
+out=$( cd "$tmp" && env -u CI PATH="$tmp/nopy" "$BASH" tools/check_static.sh no-such-build-dir 2>&1 )
+status=$?
+expect_fail "missing-python3" "python3 not available"
 
 # --- the real layering manifest is load-bearing ----------------------------
 # Deleting any module from tools/layering.json must fail the real tree:
 # its files become undeclared and every include of it an unknown module.
-if [ "$have_python3" -eq 1 ]; then
-    sed '/"wireless": {/d' tools/layering.json > "$tmp/mutated_layering.json"
-    mut_out=$(python3 tools/sag_lint --build-dir no-such-build-dir \
-                  --layering "$tmp/mutated_layering.json" 2>&1)
-    if [ $? -eq 0 ]; then
-        err "real tree passed with module 'wireless' deleted from the manifest:"
-        echo "$mut_out" >&2
-    fi
-    # And so must deleting a single dep edge (core -> wireless).
-    sed 's/"graph", "ids", "obs", "opt", "units", "wireless"/"graph", "ids", "obs", "opt", "units"/' \
-        tools/layering.json > "$tmp/mutated_layering.json"
-    mut_out=$(python3 tools/sag_lint --build-dir no-such-build-dir \
-                  --layering "$tmp/mutated_layering.json" 2>&1)
-    if [ $? -eq 0 ]; then
-        err "real tree passed with edge core->wireless deleted from the manifest:"
-        echo "$mut_out" >&2
-    fi
+sed '/"wireless": {/d' tools/layering.json > "$tmp/mutated_layering.json"
+mut_out=$(python3 tools/sag_lint --build-dir no-such-build-dir \
+              --layering "$tmp/mutated_layering.json" 2>&1)
+if [ $? -eq 0 ]; then
+    err "real tree passed with module 'wireless' deleted from the manifest:"
+    echo "$mut_out" >&2
+fi
+# And so must deleting a single dep edge (core -> wireless).
+sed 's/"graph", "ids", "obs", "opt", "units", "wireless"/"graph", "ids", "obs", "opt", "units"/' \
+    tools/layering.json > "$tmp/mutated_layering.json"
+mut_out=$(python3 tools/sag_lint --build-dir no-such-build-dir \
+              --layering "$tmp/mutated_layering.json" 2>&1)
+if [ $? -eq 0 ]; then
+    err "real tree passed with edge core->wireless deleted from the manifest:"
+    echo "$mut_out" >&2
 fi
 
 # --- the real tree passes (lint-only mode) ---------------------------------

@@ -16,6 +16,9 @@
 #     and dependency edges tools/layering.json declares (which sag_lint
 #     in turn holds the include graph to), so a DAG change is always a
 #     design-document diff too.
+#  5. The lint rule catalog is bidirectionally in sync: every RULE_* id
+#     tools/sag_lint/core.py defines has a row in the docs/STATIC_ANALYSIS.md
+#     §4.8 rule table, and every rule in that table exists in core.py.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -52,7 +55,7 @@ done
 # Documented names: backticked dotted identifiers in the registry tables.
 # Only check names whose first segment is an emitting module prefix, so
 # prose mentions of file paths or options are not misread as metrics.
-documented=$(grep -oE '`(sag|samc|pro|ilpqc|ucra|opt|dual_coverage|snr_field|sim|resilience|serve)\.[a-z0-9_.]+`' \
+documented=$(grep -oE '`(sag|samc|pro|ilpqc|ucra|opt|snr_field|sim|resilience|serve)\.[a-z0-9_.]+`' \
              "$registry" | tr -d '\`' | sort -u)
 for name in $documented; do
     echo "$emitted" | grep -qxF "$name" || \
@@ -126,8 +129,24 @@ else
     fi
 fi
 
+# --- 5. sag_lint rule catalog <-> docs/STATIC_ANALYSIS.md §4.8 ------------
+lint_doc=docs/STATIC_ANALYSIS.md
+lint_rules=$(sed -n 's/^RULE_[A-Z_]* = "\([a-z-]*\)"$/\1/p' tools/sag_lint/core.py | sort)
+doc_rules=$(sed -n '/^### 4\.8 /,/^## /p' "$lint_doc" |
+            sed -n 's/^| `\([a-z-]*\)` |.*/\1/p' | sort)
+[ -n "$lint_rules" ] || err "found no RULE_* ids in tools/sag_lint/core.py"
+[ -n "$doc_rules" ] || err "$lint_doc: no rule table in §4.8"
+for rule in $lint_rules; do
+    echo "$doc_rules" | grep -qxF "$rule" || \
+        err "lint rule \`$rule\` (tools/sag_lint/core.py) is missing from the $lint_doc §4.8 table"
+done
+for rule in $doc_rules; do
+    echo "$lint_rules" | grep -qxF "$rule" || \
+        err "lint rule \`$rule\` is in the $lint_doc §4.8 table but not defined in tools/sag_lint/core.py"
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2
     exit 1
 fi
-echo "check_docs: OK ($(echo "$emitted" | wc -l) metrics, $(echo "$perf_flags" | wc -l) perf flags, $(echo "$manifest_edges" | wc -l) layering edges, docs links clean)"
+echo "check_docs: OK ($(echo "$emitted" | wc -l) metrics, $(echo "$perf_flags" | wc -l) perf flags, $(echo "$manifest_edges" | wc -l) layering edges, $(echo "$lint_rules" | wc -l) lint rules, docs links clean)"

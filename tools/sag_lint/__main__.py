@@ -8,16 +8,17 @@ Engine ladder (docs/STATIC_ANALYSIS.md §4.8):
 
   1. builtin token engine — always runs; python3 stdlib only.  Strips
      comments/strings, resolves project-wide type aliases, and applies
-     the parameter rules, the raw-escape audit, the layering check, and
-     dead-suppression detection.
+     the parameter rules, the raw-escape audit, the layering check, the
+     determinism and concurrency confinement rules, and dead-suppression
+     detection.
   2. libclang engine — layered on top when the clang python bindings
      and $build_dir/compile_commands.json both exist (the CI static
      job; --require-libclang makes its absence fatal there).  Re-derives
      the parameter rules from canonical AST types and the raw-escape
      audit from real receiver types; findings are deduplicated.
 
-tools/check_static.sh prefers this linter and only falls back to its
-grep lints when python3 itself is unavailable.
+tools/check_static.sh runs this linter after clang-tidy; it is the
+project's one lint engine.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import sys
 
 import clang_engine
+import confinement
 import layering
 import param_rules
 import raw_escape
@@ -120,6 +122,7 @@ def main(argv) -> int:
     aliases = param_rules.collect_aliases(audited)
     findings += param_rules.run(audited, aliases)
     findings += raw_escape.run(audited)
+    findings += confinement.run(audited)
     try:
         findings += layering.run(sources, os.path.join(root, args.layering))
     except layering.ManifestError as e:

@@ -19,10 +19,14 @@ RULE_IDS_PARAM = "ids-param"
 RULE_GAIN_PARAM = "gain-param"
 RULE_RAW_ESCAPE = "raw-escape"
 RULE_LAYERING = "layering"
+RULE_DET_ENTROPY = "det-entropy"
+RULE_DET_UNORDERED = "det-unordered"
+RULE_CONC_RAW = "conc-raw"
 RULE_DEAD_SUPPRESSION = "dead-suppression"
 
 # Rules whose findings may be suppressed via tools/check_static_allowlist.txt.
-SUPPRESSIBLE_RULES = (RULE_UNITS_PARAM, RULE_IDS_PARAM, RULE_GAIN_PARAM)
+SUPPRESSIBLE_RULES = (RULE_UNITS_PARAM, RULE_IDS_PARAM, RULE_GAIN_PARAM,
+                      RULE_DET_ENTROPY, RULE_DET_UNORDERED, RULE_CONC_RAW)
 
 SOURCE_EXTS = (".h", ".cpp")
 
@@ -168,11 +172,11 @@ class Suppressions:
     """Rule-named allowlist: `rule-id: fixed-string-fragment` per line.
 
     A fragment is matched (substring, fixed) against a finding's
-    `path:line:content` key, exactly like the grep lints' `grep -F`
-    filter.  Every entry must name the rule it suppresses; after a run,
-    entries that matched nothing are dead and reported as findings
-    themselves (dead-suppression), so stale entries cannot silently
-    mask future violations.
+    `path:line:content` key, like a `grep -F` filter.  Every entry must
+    name the rule it suppresses; after a run, entries that matched
+    nothing are dead and reported as findings themselves
+    (dead-suppression), so stale entries cannot silently mask future
+    violations.
     """
 
     ENTRY_RE = re.compile(r"^([a-z][a-z0-9-]*):\s*(.+?)\s*$")
