@@ -140,10 +140,9 @@ public:
     std::vector<ids::SsId> violated(
         ids::IdSpan<ids::SsId, const ids::RsId> serving) const;
 
-    /// True when every tracked subscriber clears beta under `serving`
-    /// (distance not checked).
-    bool all_meet_threshold(ids::IdSpan<ids::SsId, const ids::RsId> serving,
-                            double rel_slack = 1e-12) const;
+    /// True when every tracked subscriber clears beta exactly under
+    /// `serving` (no slack; distance not checked).
+    bool all_meet_threshold(ids::IdSpan<ids::SsId, const ids::RsId> serving) const;
 
     /// Bulk snr_of: out[k] = snr_of(k, serving[k]) for every tracked
     /// subscriber, through the batch (SIMD-dispatched) kernel — the read

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sag/geometry/circle.h"
 #include "sag/geometry/grid.h"
 #include "sag/geometry/spatial_grid.h"
 
@@ -45,7 +46,9 @@ std::vector<geom::Vec2> prune_useless_candidates(const Scenario& scenario,
     const auto circles = scenario.feasible_circles();
     std::erase_if(candidates, [&](const geom::Vec2& p) {
         return std::none_of(circles.begin(), circles.end(),
-                            [&](const geom::Circle& c) { return c.contains(p, 1e-6); });
+                            [&](const geom::Circle& c) {
+                                return c.contains(p, geom::kMembershipSlack);
+                            });
     });
     return candidates;
 }

@@ -103,7 +103,7 @@ bool snr_feasible_at_max_power(const Scenario& scenario,
     const auto assignment = nearest_assignment(scenario, rs_positions, subs);
     if (!assignment) return false;
     const SnrField field = SnrField::at_max_power(scenario, rs_positions, subs);
-    return field.all_meet_threshold(*assignment, 0.0);
+    return field.all_meet_threshold(*assignment);
 }
 
 }  // namespace sag::core

@@ -212,11 +212,10 @@ std::vector<ids::SsId> SnrField::violated(
     return bad;
 }
 
-bool SnrField::all_meet_threshold(ids::IdSpan<ids::SsId, const ids::RsId> serving,
-                                  double rel_slack) const {
+bool SnrField::all_meet_threshold(ids::IdSpan<ids::SsId, const ids::RsId> serving) const {
     assert(serving.size() == sub_x_.size());
     for (const ids::SsId k : tracked_ids()) {
-        if (!meets_threshold(k, serving[k], rel_slack)) return false;
+        if (!meets_threshold(k, serving[k], 0.0)) return false;
     }
     return true;
 }
@@ -347,7 +346,7 @@ bool SnrFeasibilityOracle::feasible(std::span<const ids::CandId> chosen) {
 
     const auto assignment = nearest_assignment(*scenario_, field_.rs_positions());
     if (!assignment) return false;
-    return field_.all_meet_threshold(*assignment, 0.0);
+    return field_.all_meet_threshold(*assignment);
 }
 
 }  // namespace sag::core

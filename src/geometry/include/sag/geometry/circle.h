@@ -13,6 +13,13 @@ namespace sag::geom {
 /// absolute slack is far below any physically meaningful distance.
 inline constexpr double kEps = 1e-9;
 
+/// Disk-membership slack for constructed points: a circle-circle
+/// intersection point carries rounding error far above kEps, yet must
+/// count as inside (and on the boundary of) both generating disks. The
+/// hitting-set formulation and the candidate pruning must use the same
+/// value, or a kept candidate could miss the disk it was kept for.
+inline constexpr double kMembershipSlack = 1e-6;
+
 /// A circle (and, where stated, the closed disk it bounds).
 /// Subscriber "feasible coverage circles" (paper Table I, symbol c_i) are
 /// Circles centered at the SS with radius equal to its distance request d_i.
@@ -29,7 +36,7 @@ struct Circle {
         return distance_sq(center, p) <= (radius + eps) * (radius + eps);
     }
     /// True when `p` lies on the boundary circle within `eps`.
-    bool on_boundary(const Vec2& p, double eps = 1e-6) const;
+    bool on_boundary(const Vec2& p, double eps = kMembershipSlack) const;
     /// Point on the boundary at angle `theta` (radians, CCW from +x).
     Vec2 point_at_angle(double theta) const;
 };

@@ -27,9 +27,7 @@ std::optional<std::vector<std::size_t>> greedy_set_cover(const SetCoverInstance&
 
 /// Greedy set *multicover*: element e must be covered by at least
 /// `demand[e]` distinct sets (each set counts once per element). Returns
-/// nullopt when some demand is unsatisfiable. Supports the dual-relay
-/// coverage extension (every subscriber covered by two RSs, after the
-/// 802.16j dual-relay MMR architecture the paper's related work cites).
+/// nullopt when some demand is unsatisfiable.
 std::optional<std::vector<std::size_t>> greedy_set_multicover(
     const SetCoverInstance& inst, std::span<const std::size_t> demand);
 

@@ -18,9 +18,11 @@ std::vector<std::vector<std::size_t>> hit_sets(std::span<const geom::Circle> dis
     std::vector<std::vector<std::size_t>> sets(candidates.size());
     for (std::size_t c = 0; c < candidates.size(); ++c) {
         for (std::size_t d = 0; d < disks.size(); ++d) {
-            // Slight inward tolerance: boundary intersection points must
-            // count as hitting both generating disks.
-            if (disks[d].contains(candidates[c], 1e-6)) sets[c].push_back(d);
+            // Boundary intersection points must count as hitting both
+            // generating disks.
+            if (disks[d].contains(candidates[c], geom::kMembershipSlack)) {
+                sets[c].push_back(d);
+            }
         }
     }
     return sets;

@@ -180,7 +180,6 @@ private:
     resilience::RepairState state_;
     resilience::FailureSet failures_;
     std::vector<std::uint64_t> slot_key_;  ///< SS slot -> session key
-    std::uint64_t next_key_ = 0;
 
     std::vector<double> alloc_;  ///< per pool RS: allocated watts
     core::ConnectivityPlan conn_;

@@ -36,7 +36,6 @@ void Session::init_from_deployment(const core::SagResult& deployment) {
 
     slot_key_.resize(scenario_.subscriber_count());
     for (std::size_t k = 0; k < slot_key_.size(); ++k) slot_key_[k] = k;
-    next_key_ = slot_key_.size();
     for (ids::SsId j : scenario_.ss_ids()) {
         const ids::RsId rs = deployment.coverage.assignment[j];
         if (rs != ids::RsId::invalid() && rs.index() < caps.size()) {
@@ -127,7 +126,6 @@ void Session::apply_mutation(const Event& e) {
             scenario_.subscribers.emplace_back(e.pos, e.distance_request);
             state_.server.push_back(kUnserved);
             slot_key_.push_back(e.key);
-            next_key_ = std::max(next_key_, e.key + 1);
             field.add_subscriber(ids::SsId{scenario_.subscriber_count() - 1});
             backhaul_dirty_ = true;
             break;
