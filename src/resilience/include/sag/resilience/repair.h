@@ -45,9 +45,10 @@
 namespace sag::resilience {
 
 struct RepairOptions {
-    /// Power/verify rounds: a failed verification drops the offending
-    /// newly-added SSs and retries, so each round strictly shrinks the
-    /// instance toward the guaranteed-feasible surviving core.
+    /// Power/verify rounds that may shed: a failed verification drops the
+    /// offending newly-added SSs and retries, so each round strictly
+    /// shrinks the instance toward the guaranteed-feasible surviving
+    /// core. If the last of them sheds, one closing round re-verifies.
     int max_rounds = 4;
     /// Stage-2 budget of patched-in relays; 0 disables patching.
     std::size_t max_new_relays = 8;
@@ -69,7 +70,7 @@ struct RepairOutcome {
 
     std::size_t reassigned = 0;   ///< orphans re-homed onto surviving RSs
     std::size_t new_relays = 0;   ///< stage-2 relays patched in
-    int rounds = 0;               ///< power/verify rounds executed
+    int rounds = 0;               ///< power/verify rounds executed (<= max_rounds + 1)
     double power_before = 0.0;    ///< P_total of the intact deployment
     double power_after = 0.0;     ///< P_total of the repaired network
 
@@ -146,7 +147,7 @@ std::size_t patch(RepairState& state, std::size_t max_new_relays);
 
 /// What the power stage leaves behind.
 struct PowerStage {
-    RepairView view;              ///< the view of the last round
+    RepairView view;              ///< the post-shed view of the last round
     core::PowerAllocation lower;  ///< its powers; feasible = verify_coverage verdict
     std::vector<std::size_t> shed;  ///< SSs unassigned by failed rounds
     int rounds = 0;               ///< Yates + verify rounds run
@@ -154,7 +155,10 @@ struct PowerStage {
 
 /// Stage 3: Yates under the caps, then verify_coverage; on failure shed
 /// the failing SSs placed by this run (or, when only the others fail,
-/// every SS placed by this run) and retry, for at most `max_rounds`.
+/// every SS placed by this run) and retry. At most `max_rounds` rounds
+/// shed; when the last of them does, one closing round re-runs Yates +
+/// verify over the post-shed view without shedding, so `view` never
+/// holds a shed SS.
 PowerStage reallocate_power(RepairState& state, int max_rounds);
 
 /// Stage 4: MBMC + UCPO over the view.

@@ -170,6 +170,10 @@ PowerStage reallocate_power(RepairState& state, int max_rounds) {
     // every placed SS that breaks it has been shed.
     PowerStage out;
     const int rounds = std::max(1, max_rounds);
+    // Set once the last allowed round has shed: one more Yates + verify
+    // over the post-shed view, without shedding again, so the stage
+    // describes the state it leaves rather than the round that failed.
+    bool closing = false;
     while (true) {
         out.view = build_view(state);
         const RepairView& v = out.view;
@@ -178,7 +182,7 @@ PowerStage reallocate_power(RepairState& state, int max_rounds) {
         const core::CoverageReport report =
             core::verify_coverage(v.covered_scenario, v.plan, out.lower.powers);
         out.lower.feasible = report.feasible;
-        if (report.feasible) break;
+        if (report.feasible || closing) break;
 
         // Shed the placed SSs that failed verification; if only the
         // others fail (a placement's interference squeezed them), shed
@@ -197,7 +201,7 @@ PowerStage reallocate_power(RepairState& state, int max_rounds) {
         if (shed.empty()) break;  // only the others fail: nothing to shed
         for (const std::size_t k : shed) state.server[k] = RepairState::kUnserved;
         out.shed.insert(out.shed.end(), shed.begin(), shed.end());
-        if (out.rounds == rounds) break;
+        closing = out.rounds == rounds;
     }
     return out;
 }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "sag/core/candidates.h"
+#include "sag/core/feasibility.h"
 #include "sag/core/ilpqc.h"
 #include "sag/core/sag.h"
 #include "sag/resilience/failure.h"
@@ -193,6 +194,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RepairAnchors, ::testing::ValuesIn(kRepairAnchor
                              return "seed" + std::to_string(info.param.seed) + "_" +
                                     kFailureNames[static_cast<int>(info.param.kind)];
                          });
+
+// When the last allowed power round sheds, repair reports the post-shed
+// state: a shed SS is unrecoverable and not covered. With max_rounds = 1
+// this draw sheds in its only round (the default of 4 recovers it).
+TEST(RepairRegression, ExhaustedPowerRoundsReportThePostShedState) {
+    sim::GeneratorConfig cfg;
+    cfg.field_side = 500.0;
+    cfg.subscriber_count = 60;
+    cfg.base_station_count = 4;
+    const auto s = sim::generate_scenario(cfg, 22);
+    const auto deployment = solve_sag(s);
+    ASSERT_TRUE(deployment.feasible);
+    const auto failures = resilience::inject_disc_outage(
+        s, deployment, resilience::DiscOutageModel{}, 1022);
+
+    resilience::RepairOptions options;
+    options.max_rounds = 1;
+    const auto out = resilience::repair(s, deployment, failures, options);
+    ASSERT_FALSE(out.unrecoverable.empty());
+    for (const ids::SsId j : out.unrecoverable) {
+        EXPECT_FALSE(std::binary_search(out.covered.begin(), out.covered.end(), j))
+            << "SS " << j.index() << " is both covered and unrecoverable";
+    }
+    EXPECT_EQ(out.covered.size() + out.unrecoverable.size(), s.subscriber_count());
+    EXPECT_EQ(out.covered_scenario.subscriber_count(), out.covered.size());
+    EXPECT_EQ(out.rounds, 2);  // the shedding round plus the closing one
+    const auto report = verify_coverage(out.covered_scenario, out.repaired.coverage,
+                                        out.repaired.lower_power.powers);
+    EXPECT_EQ(report.feasible, out.repaired.lower_power.feasible);
+}
 
 // --- Serve anchors -----------------------------------------------------------
 // One fixed 600-event churn stream (every event kind, stale keys and RS
